@@ -10,16 +10,19 @@ theorem of the definitions.  Conditional statements about an element's
 successor or predecessor are evaluated only where that lookup is Unique in
 the given universe; when no element satisfies a statement's hypotheses the
 verdict is "vacuous" rather than "holds".  A "violated" verdict always
-indicates an implementation bug and carries a concrete witness.
+indicates an implementation bug and carries a concrete witness.  Every
+statement is evaluated as bit tests on the universe's cached masks and
+successor/predecessor tables (``Universe.facts``); names appear only in
+witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classifier import ASCENDING, DESCENDING, is_lower, is_upper, nonself_mask
+from .classifier import ASCENDING, DESCENDING
 from .errors import LemmaViolationError
-from .universe import Absent, ElementId, LookupResult, Multiple, Unique, Universe
+from .universe import Absent, ElementId, LookupResult, Universe
 
 SUCCESSOR = "successor"
 PREDECESSOR = "predecessor"
@@ -118,169 +121,126 @@ def check_axiom(u: Universe, which: str) -> AxiomReport:
     universe satisfies both axioms vacuously.
     """
     if which == SUCCESSOR:
-        lookup = u.successor_in
+        found, results = u.facts.successor, u.facts.successor_result
     elif which == PREDECESSOR:
-        lookup = u.predecessor_in
+        found, results = u.facts.predecessor, u.facts.predecessor_result
     else:
         raise ValueError(f"unknown axiom {which!r}")
-    per_element = tuple((x, lookup(x)) for x in u.names)
-    satisfied = all(isinstance(r, Unique) for _, r in per_element)
-    return AxiomReport(axiom=which, per_element=per_element, satisfied=satisfied)
+    return AxiomReport(which, tuple(zip(u.names, results)), None not in found)
 
 
-def _sweep(pairs) -> Verdict:
+_HOLDS = Verdict(HOLDS)
+_VACUOUS = Verdict(VACUOUS)
+
+
+def _verdict(names, cases: int, bad: int, partner=None) -> Verdict:
     """Verdict for a 'for every x with ...' statement.
 
-    pairs is an iterable of (witness, ok) with one entry per element
-    satisfying the statement's hypotheses.
+    cases has a bit per element meeting the statement's hypotheses and bad a
+    bit per such element where its conclusion fails.  The witness is the
+    first bad element in canonical order, followed by the element that
+    partner (a successor or predecessor table) pairs it with.
     """
-    hypothesis_met = False
-    for witness, ok in pairs:
-        hypothesis_met = True
-        if not ok:
-            witness = witness if isinstance(witness, tuple) else (witness,)
-            return Verdict(VIOLATED, witness)
-    return Verdict(HOLDS) if hypothesis_met else Verdict(VACUOUS)
+    if bad:
+        i = (bad & -bad).bit_length() - 1
+        witness = (names[i],) if partner is None else (names[i], names[partner[i]])
+        return Verdict(VIOLATED, witness)
+    return _HOLDS if cases else _VACUOUS
+
+
+def _combine(*parts: Verdict) -> Verdict:
+    """Verdict for a statement made of parts: the first violated part, else
+    holds if any part holds, else vacuous."""
+    for part in parts:
+        if part.status == VIOLATED:
+            return part
+    return _HOLDS if HOLDS in [part.status for part in parts] else _VACUOUS
+
+
+def _pair_masks(masks, table, kind: int) -> tuple[int, ...]:
+    """Bits of the elements x that table (successor or predecessor) pairs
+    with some y, then of those among them where y == x, ext(y) != ext(x),
+    x is in y, y is in x, and y is in kind."""
+    paired = same = moved = x_in_y = y_in_x = y_kind = 0
+    for x, y in enumerate(table):
+        if y is None:
+            continue
+        bit = 1 << x
+        paired |= bit
+        if y == x:
+            same |= bit
+        if masks[y] != masks[x]:
+            moved |= bit
+        if masks[y] & bit:
+            x_in_y |= bit
+        if masks[x] >> y & 1:
+            y_in_x |= bit
+        if kind >> y & 1:
+            y_kind |= bit
+    return paired, same, moved, x_in_y, y_in_x, y_kind
 
 
 def verify_lemma_suite(u: Universe) -> LemmaReport:
     """Exhaustively evaluate the whole lemma suite over one universe."""
-    names = u.names
-    nonself = nonself_mask(u)
-    lowers = [x for x in names if is_lower(u, x)]
-    uppers = [x for x in names if is_upper(u, x)]
-    succ = {x: u.successor_in(x) for x in names}
-    pred = {x: u.predecessor_in(x) for x in names}
+    names, masks, facts = u.names, u.masks, u.facts
+    nonself, lowers, uppers = facts.nonself_mask, facts.lower_mask, facts.upper_mask
+    succ, pred = facts.successor, facts.predecessor
+    # s_*: elements with a unique successor y; p_*: with a unique predecessor.
+    s_pair, s_same, s_moved, s_x_in, _, s_lower = _pair_masks(masks, succ, lowers)
+    p_pair, p_same, p_moved, p_x_in, p_y_in, p_upper = _pair_masks(masks, pred, uppers)
+    lower_succ, upper_succ = lowers & s_pair, uppers & s_pair
+    lower_pred, upper_pred = lowers & p_pair, uppers & p_pair
 
-    def unique(result: LookupResult) -> ElementId | None:
-        return result.id if isinstance(result, Unique) else None
-
-    verdicts: dict[str, Verdict] = {}
-
-    verdicts["L-lower-not-self"] = _sweep(
-        (x, not u.self_membered(x)) for x in lowers
+    ascending = lower_succ & (s_same | ~s_x_in | ~s_lower)
+    descending = upper_pred & (p_same | ~p_y_in | ~p_upper)
+    # A Russell set x would have to be self-membered and not.
+    russell = sum(1 << i for i, mask in enumerate(masks) if mask == nonself)
+    verdicts = (
+        _verdict(names, lowers, lowers & facts.self_mask),
+        _verdict(names, uppers, uppers & nonself),
+        _verdict(names, u.all_mask, lowers & uppers),
+        _combine(
+            _verdict(names, lower_pred, lower_pred & p_moved, pred),
+            _verdict(names, upper_succ, upper_succ & s_moved, succ),
+        ),
+        _verdict(names, p_pair, p_x_in, pred),
+        _verdict(names, s_pair, s_pair & ~s_x_in, succ),
+        _verdict(names, lower_succ, lower_succ & s_same, succ),
+        _verdict(names, lower_succ, lower_succ & ~s_lower, succ),
+        _verdict(names, upper_pred, upper_pred & p_same, pred),
+        _verdict(names, upper_pred, upper_pred & ~p_upper, pred),
+        _verdict(names, upper_pred, upper_pred & ~p_y_in, pred),
+        _main_result(
+            u,
+            _verdict(names, lower_succ, ascending, succ),
+            _verdict(names, upper_pred, descending, pred),
+        ),
+        _verdict(names, russell, russell & ~(facts.self_mask & nonself)),
     )
-    verdicts["L-upper-self"] = _sweep((x, u.self_membered(x)) for x in uppers)
-    verdicts["C-not-both"] = _sweep(
-        (x, not (is_lower(u, x) and is_upper(u, x))) for x in names
-    )
-
-    def stoppage_cases():
-        for x in lowers:
-            y = unique(pred[x])
-            if y is not None:
-                yield (x, y), u.coextensive(x, y)
-        for x in uppers:
-            y = unique(succ[x])
-            if y is not None:
-                yield (x, y), u.coextensive(x, y)
-
-    verdicts["C-stoppage"] = _sweep(stoppage_cases())
-
-    verdicts["L-pred-not-self"] = _sweep(
-        ((x, y), not u.is_member(x, y))
-        for x in names
-        if (y := unique(pred[x])) is not None
-    )
-    verdicts["L-succ-self"] = _sweep(
-        ((x, y), u.is_member(x, y))
-        for x in names
-        if (y := unique(succ[x])) is not None
-    )
-
-    verdicts["A"] = _sweep(
-        ((x, y), y != x)
-        for x in lowers
-        if (y := unique(succ[x])) is not None
-    )
-    verdicts["B"] = _sweep(
-        ((x, y), is_lower(u, y))
-        for x in lowers
-        if (y := unique(succ[x])) is not None
-    )
-    verdicts["C2"] = _sweep(
-        ((x, y), y != x)
-        for x in uppers
-        if (y := unique(pred[x])) is not None
-    )
-    verdicts["D"] = _sweep(
-        ((x, y), is_upper(u, y))
-        for x in uppers
-        if (y := unique(pred[x])) is not None
-    )
-    verdicts["E"] = _sweep(
-        ((x, y), u.is_member(y, x))
-        for x in uppers
-        if (y := unique(pred[x])) is not None
-    )
-
-    verdicts["main-result"] = _main_result(u, lowers, uppers, succ, pred)
-
-    def restated_cases():
-        for x in names:
-            if u.members_mask(x) != nonself:
-                continue
-            mask = u.members_mask(x)
-            bit = u.bit(x)
-            yield x, ((mask | bit) == mask) and ((mask & ~bit) == mask)
-
-    verdicts["restated"] = _sweep(restated_cases())
-
-    per_lemma = tuple((tag, verdicts[tag]) for tag in LEMMA_TAGS)
-    return LemmaReport(per_lemma=per_lemma, notes=(MAIN_RESULT_NOTE,))
+    return LemmaReport(tuple(zip(LEMMA_TAGS, verdicts)), (MAIN_RESULT_NOTE,))
 
 
-def _link_endpoints(u: Universe, group: list[ElementId]) -> int:
+def _link_endpoints(masks, group: int) -> int:
     """Bitmask of elements that are an endpoint of a link whose endpoints
     both lie in group (a pair of distinct elements, one a member of the
     other)."""
-    group_mask = u.mask(group)
     endpoints = 0
-    for x in group:
-        others = u.members_mask(x) & group_mask & ~u.bit(x)
-        if others:
-            endpoints |= others | u.bit(x)
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        others = mask & group & ~bit
+        if group & bit and others:
+            endpoints |= others | bit
     return endpoints
 
 
-def _main_result(u, lowers, uppers, succ, pred) -> Verdict:
-    def unique(result):
-        return result.id if isinstance(result, Unique) else None
-
-    parts: list[Verdict] = []
-
-    lower_ends = _link_endpoints(u, lowers)
-    upper_ends = _link_endpoints(u, uppers)
-    if not lower_ends or not upper_ends:
-        parts.append(Verdict(VACUOUS))
-    else:
-        shared = lower_ends & upper_ends
-        if shared:
-            parts.append(Verdict(VIOLATED, (u.ids(shared)[0],)))
-        else:
-            parts.append(Verdict(HOLDS))
-
-    parts.append(
-        _sweep(
-            ((x, y), y != x and u.is_member(x, y) and is_lower(u, y))
-            for x in lowers
-            if (y := unique(succ[x])) is not None
-        )
-    )
-    parts.append(
-        _sweep(
-            ((x, y), y != x and u.is_member(y, x) and is_upper(u, y))
-            for x in uppers
-            if (y := unique(pred[x])) is not None
-        )
-    )
-
-    for part in parts:
-        if part.status == VIOLATED:
-            return part
-    if all(part.status == VACUOUS for part in parts):
-        return Verdict(VACUOUS)
-    return Verdict(HOLDS)
+def _main_result(u: Universe, ascending: Verdict, descending: Verdict) -> Verdict:
+    """Combine link disjointness with the verdicts on the ascending steps
+    from lowers and the descending steps from uppers."""
+    lower_ends = _link_endpoints(u.masks, u.facts.lower_mask)
+    upper_ends = _link_endpoints(u.masks, u.facts.upper_mask)
+    # Disjointness is vacuous unless both kinds of link exist.
+    disjoint = _verdict(u.names, lower_ends and upper_ends, lower_ends & upper_ends)
+    return _combine(disjoint, ascending, descending)
 
 
 def trace_chain(u: Universe, start: ElementId, direction: str, cap: int) -> Chain:
@@ -295,46 +255,36 @@ def trace_chain(u: Universe, start: ElementId, direction: str, cap: int) -> Chai
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    u.index(start)
+    current = u.index(start)
+    facts = u.facts
     if direction == ASCENDING:
-        lookup = u.successor_in
-        guarded = is_lower(u, start)
+        steps, results, kind = facts.successor, facts.successor_result, facts.lower_mask
     elif direction == DESCENDING:
-        lookup = u.predecessor_in
-        guarded = is_upper(u, start)
+        steps, results = facts.predecessor, facts.predecessor_result
+        kind = facts.upper_mask
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
+    names, masks = u.names, u.masks
+    guarded = kind >> current & 1
     nodes = [start]
-    visited = {start}
+    visited = {current}
     while True:
         if len(nodes) >= cap:
             return Chain(direction, tuple(nodes), LENGTH_CAP)
-        current = nodes[-1]
-        result = lookup(current)
-        if isinstance(result, Absent):
-            return Chain(direction, tuple(nodes), ABSENT)
-        if isinstance(result, Multiple):
-            return Chain(direction, tuple(nodes), MULTIPLE)
-        nxt = result.id
+        nxt = steps[current]
+        if nxt is None:
+            reason = ABSENT if isinstance(results[current], Absent) else MULTIPLE
+            return Chain(direction, tuple(nodes), reason)
         if guarded:
-            if direction == ASCENDING:
-                ok = (
-                    nxt != current
-                    and is_lower(u, nxt)
-                    and u.is_member(current, nxt)
-                )
-            else:
-                ok = (
-                    nxt != current
-                    and is_upper(u, nxt)
-                    and u.is_member(nxt, current)
-                )
-            if not ok:
+            # Ascending, current must be a member of nxt; descending, the reverse.
+            inner, outer = (current, nxt) if direction == ASCENDING else (nxt, current)
+            if nxt == current or not kind >> nxt & 1 or not masks[outer] >> inner & 1:
                 raise LemmaViolationError(
-                    f"chain step {current!r} -> {nxt!r} broke a theorem"
+                    f"chain step {names[current]!r} -> {names[nxt]!r} broke a theorem"
                 )
         if nxt in visited:
-            return Chain(direction, tuple(nodes), CYCLE, repeated=nxt)
-        nodes.append(nxt)
+            return Chain(direction, tuple(nodes), CYCLE, repeated=names[nxt])
+        nodes.append(names[nxt])
         visited.add(nxt)
+        current = nxt

@@ -3,7 +3,8 @@
 A "lower" has only non-self-membered members; an "upper" contains every
 non-self-membered element of its universe.  Nothing can be both, which is
 the finite-universe face of the Russell paradox; the witness searches below
-exist to confirm that emptiness mechanically.
+exist to confirm that emptiness mechanically.  Both classes are read off
+masks each universe computes once and caches (``Universe.facts``).
 """
 
 from __future__ import annotations
@@ -53,25 +54,21 @@ class Link:
 
 def self_mask(u: Universe) -> int:
     """Bitmask of the self-membered elements of u."""
-    mask = 0
-    for i, row in enumerate(u.masks):
-        if row >> i & 1:
-            mask |= 1 << i
-    return mask
+    return u.facts.self_mask
 
 
 def nonself_mask(u: Universe) -> int:
-    return u.all_mask & ~self_mask(u)
+    return u.facts.nonself_mask
 
 
 def is_lower(u: Universe, x: ElementId) -> bool:
     """True iff every member of x is non-self-membered."""
-    return u.members_mask(x) & self_mask(u) == 0
+    return bool(u.facts.lower_mask >> u.index(x) & 1)
 
 
 def is_upper(u: Universe, x: ElementId) -> bool:
     """True iff x contains every non-self-membered element of u."""
-    return nonself_mask(u) & ~u.members_mask(x) == 0
+    return bool(u.facts.upper_mask >> u.index(x) & 1)
 
 
 def is_strictly_russellian(u: Universe, x: ElementId) -> bool:
@@ -90,7 +87,18 @@ def classify(u: Universe, x: ElementId) -> Classification:
 
 
 def classify_all(u: Universe) -> tuple[Classification, ...]:
-    return tuple(classify(u, x) for x in u.names)
+    facts = u.facts
+    return tuple(
+        [
+            Classification(
+                x,
+                bool(facts.lower_mask >> i & 1),
+                bool(facts.upper_mask >> i & 1),
+                bool(facts.self_mask >> i & 1),
+            )
+            for i, x in enumerate(u.names)
+        ]
+    )
 
 
 def link(u: Universe, x: ElementId, y: ElementId) -> tuple[Link, ...]:

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import audit, classifier, dsl, enumerator, interp
-from .errors import SetlabError
+from .errors import LemmaViolationError, SetlabError
 from .universe import LookupResult, Multiple, Unique, Universe
 
 ENV_MAX_N = "SETLAB_MAX_N"
@@ -467,6 +467,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except LemmaViolationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except SetlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,14 +9,17 @@ is deliberately not enforced).
 Extensions are stored as bitmasks over the canonical element order, so set
 algebra runs on machine words while the semantic contract stays "plain
 finite sets".  The canonical order is fixed at construction and drives all
-iteration, which keeps every derived report byte-reproducible.
+iteration, which keeps every derived report byte-reproducible.  What the
+classifier and the audit derive from a universe (self-membered, lower and
+upper masks, successor and predecessor tables) is computed once per
+universe and cached in ``Universe.facts``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DuplicateDefinitionError, UnknownElementError
 
@@ -47,6 +50,27 @@ class Multiple:
 
 
 LookupResult = Unique | Absent | Multiple
+
+_ABSENT = Absent()
+
+
+class Facts(NamedTuple):
+    """What the classifier and the audit derive from one universe.
+
+    ``successor[i]`` is the index of the unique element whose extension is
+    extension(i) plus i, or None when that lookup is Absent or Multiple;
+    ``successor_result[i]`` is the lookup's result.  ``predecessor`` and
+    ``predecessor_result`` likewise for extension(i) minus i.
+    """
+
+    self_mask: int
+    nonself_mask: int
+    lower_mask: int
+    upper_mask: int
+    successor: tuple[int | None, ...]
+    successor_result: tuple[LookupResult, ...]
+    predecessor: tuple[int | None, ...]
+    predecessor_result: tuple[LookupResult, ...]
 
 
 @dataclass(frozen=True)
@@ -106,12 +130,38 @@ class Universe:
         return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
-    def _by_mask(self) -> dict[int, tuple[ElementId, ...]]:
-        """Extension mask -> elements carrying it, in canonical order."""
-        table: dict[int, list[ElementId]] = {}
-        for name, mask in zip(self.names, self.masks):
-            table.setdefault(mask, []).append(name)
-        return {mask: tuple(found) for mask, found in table.items()}
+    def facts(self) -> Facts:
+        """The derived facts, computed on first use and then cached.  The
+        computation is idempotent, so threads racing on it store equal
+        records."""
+        names, masks = self.names, self.masks
+        if not masks:
+            return Facts(0, 0, 0, 0, (), (), (), ())
+        by_mask: dict[int, list[int]] = {}
+        self_bits = 0
+        for i, mask in enumerate(masks):
+            by_mask.setdefault(mask, []).append(i)
+            self_bits |= mask & 1 << i
+        nonself = self.all_mask & ~self_bits
+        # Target mask -> (index of its unique carrier or None, lookup result).
+        found = {
+            mask: (at[0], Unique(names[at[0]]))
+            if len(at) == 1
+            else (None, Multiple(tuple([names[j] for j in at])))
+            for mask, at in by_mask.items()
+        }
+        absent = (None, _ABSENT)
+        lower = upper = 0
+        succ, pred = [], []
+        for i, mask in enumerate(masks):
+            bit = 1 << i
+            if not mask & self_bits:
+                lower |= bit
+            if not nonself & ~mask:
+                upper |= bit
+            succ.append(found.get(mask | bit, absent))
+            pred.append(found.get(mask & ~bit, absent))
+        return Facts(self_bits, nonself, lower, upper, *zip(*succ), *zip(*pred))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -170,25 +220,17 @@ class Universe:
 
     # -- successor / predecessor lookups -------------------------------------
 
-    def _lookup(self, target: int) -> LookupResult:
-        found = self._by_mask.get(target, ())
-        if not found:
-            return Absent()
-        if len(found) == 1:
-            return Unique(found[0])
-        return Multiple(found)
-
     def successor_in(self, x: ElementId) -> LookupResult:
         """Search for an element whose extension is extension(x) plus x itself.
 
         Unique(y) iff exactly one such y exists (y = x is possible when x is
         self-membered); Absent or Multiple otherwise.
         """
-        return self._lookup(self.members_mask(x) | self.bit(x))
+        return self.facts.successor_result[self.index(x)]
 
     def predecessor_in(self, x: ElementId) -> LookupResult:
         """Search for an element whose extension is extension(x) minus x."""
-        return self._lookup(self.members_mask(x) & ~self.bit(x))
+        return self.facts.predecessor_result[self.index(x)]
 
     def sym_diff_singleton(self, x: ElementId) -> frozenset[ElementId]:
         """extension(x) symmetric-difference {x}.

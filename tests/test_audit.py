@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from conftest import all_membership_dicts, to_universe
@@ -14,6 +16,7 @@ from setlab import (
     PREDECESSOR,
     SUCCESSOR,
     VACUOUS,
+    VIOLATED,
     Absent,
     Unique,
     Universe,
@@ -92,6 +95,60 @@ class TestLemmaSuite:
     def test_notes_mention_element_level_reading(self):
         report = verify_lemma_suite(QUINE)
         assert any("element level" in note for note in report.notes)
+
+
+# Per-lemma statuses over every universe of n <= 3 elements: each key is one
+# letter per tag of LEMMA_TAGS (H holds, V vacuous), each value the number of
+# universes with that row.  A change that turns some "holds" into "vacuous",
+# or the reverse, changes a count even though no lemma is violated.
+STATUS_MATRIX = {
+    0: {"VVVVVVVVVVVVV": 1},
+    1: {"HVHHHVVVVVVVV": 1, "VHHHVHVVVVVVV": 1},
+    2: {
+        "HHHHHHVVVVVVV": 2,
+        "HVHHHHHHVVVHV": 2,
+        "HVHHHHVVVVVVV": 2,
+        "VHHHHHVVHHHHV": 2,
+        "VHHHHHVVVVVVV": 2,
+        "VVHVVVVVVVVVV": 2,
+        "HVHHHVVVVVVVV": 1,
+        "HVHVVVVVVVVVV": 1,
+        "VHHHVHVVVVVVV": 1,
+        "VHHVVVVVVVVVV": 1,
+    },
+    3: {
+        "HVHHHHVVVVVVV": 66,
+        "VHHHHHVVVVVVV": 66,
+        "HVHHHVVVVVVVV": 57,
+        "VHHHVHVVVVVVV": 57,
+        "HHHHHHVVVVVVV": 54,
+        "HVHHHHHHVVVHV": 51,
+        "VHHHHHVVHHHHV": 51,
+        "VVHVHHVVVVVVV": 30,
+        "VVHVHVVVVVVVV": 18,
+        "VVHVVHVVVVVVV": 18,
+        "HVHVVHVVVVVVV": 9,
+        "VHHVHVVVVVVVV": 9,
+        "HHHHHHHHVVVHV": 6,
+        "HHHHHHVVHHHHV": 6,
+        "VVHVVVVVVVVVV": 6,
+        "HHHHHVVVVVVVV": 3,
+        "HHHHVHVVVVVVV": 3,
+        "HVHVVVVVVVVVV": 1,
+        "VHHVVVVVVVVVV": 1,
+    },
+}
+
+
+class TestStatusMatrix:
+    @pytest.mark.parametrize("n", sorted(STATUS_MATRIX))
+    def test_status_rows_over_every_universe(self, n):
+        letter = {HOLDS: "H", VACUOUS: "V", VIOLATED: "X"}
+        rows = Counter()
+        for d in all_membership_dicts(n):
+            report = verify_lemma_suite(to_universe(d))
+            rows["".join(letter[v.status] for _, v in report.per_lemma)] += 1
+        assert rows == STATUS_MATRIX[n]
 
 
 class TestTraceChain:

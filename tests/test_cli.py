@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from setlab import audit
 from setlab.cli import main
+from setlab.errors import LemmaViolationError
 
 QUINE = "e = {}\nq = {q}\n"
 
@@ -248,6 +250,15 @@ class TestErrors:
         )
         assert code == 2
         assert "--cap" in err
+
+    def test_lemma_violation_exits_one(self, capsys, monkeypatch, quine_file):
+        def broken(*args):
+            raise LemmaViolationError("chain step 'q' -> 'q' broke a theorem")
+
+        monkeypatch.setattr(audit, "trace_chain", broken)
+        code, _, err = run(capsys, "chains", quine_file, "--from", "q", "--dir", "asc")
+        assert code == 1
+        assert err.startswith("error: chain step")
 
     def test_non_positive_k_exits_two(self, capsys):
         code, _, err = run(capsys, "interp", "--demo", "upperchain", "--k", "0")

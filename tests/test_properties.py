@@ -1,7 +1,9 @@
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import universes
+from conftest import all_membership_dicts, to_universe, universes
 
 from setlab import (
     ASCENDING,
@@ -106,6 +108,28 @@ def test_russell_witness_agrees_with_comprehension(u):
 @given(universes())
 def test_lemma_suite_never_reports_a_violation(u):
     assert verify_lemma_suite(u).ok
+
+
+@given(universes())
+def test_complement_swaps_lowers_with_uppers_and_successors_with_predecessors(u):
+    c = Universe(u.names, tuple(u.all_mask & ~mask for mask in u.masks))
+    for x in u.names:
+        assert is_lower(c, x) == is_upper(u, x)
+        assert is_upper(c, x) == is_lower(u, x)
+        assert c.successor_in(x) == u.predecessor_in(x)
+        assert c.predecessor_in(x) == u.successor_in(x)
+        assert c.self_membered(x) != u.self_membered(x)
+
+
+def test_lemma_statuses_are_relabelling_invariant():
+    for n in range(4):
+        for d in all_membership_dicts(n):
+            u = to_universe(d)
+            statuses = [v.status for _, v in verify_lemma_suite(u).per_lemma]
+            for order in itertools.permutations(u.names):
+                relabelled = Universe.from_extensions({x: sorted(d[x]) for x in order})
+                report = verify_lemma_suite(relabelled)
+                assert [v.status for _, v in report.per_lemma] == statuses, order
 
 
 @given(universes(), st.randoms())
