@@ -194,7 +194,7 @@ def verify_lemma_suite(u: Universe) -> LemmaReport:
     ascending = lower_succ & (s_same | ~s_x_in | ~s_lower)
     descending = upper_pred & (p_same | ~p_y_in | ~p_upper)
     # A Russell set x would have to be self-membered and not.
-    russell = sum(1 << i for i, mask in enumerate(masks) if mask == nonself)
+    russell = facts.russell_mask
     verdicts = (
         _verdict(names, lowers, lowers & facts.self_mask),
         _verdict(names, uppers, uppers & nonself),

@@ -3,8 +3,9 @@
 A "lower" has only non-self-membered members; an "upper" contains every
 non-self-membered element of its universe.  Nothing can be both, which is
 the finite-universe face of the Russell paradox; the witness searches below
-exist to confirm that emptiness mechanically.  Both classes are read off
-masks each universe computes once and caches (``Universe.facts``).
+exist to confirm that emptiness mechanically.  Both classes, and the Russell
+set, are read off masks each universe computes once and caches
+(``Universe.facts``).
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def is_upper(u: Universe, x: ElementId) -> bool:
 def is_strictly_russellian(u: Universe, x: ElementId) -> bool:
     """True iff x is both a lower and an upper, i.e. its members are exactly
     the non-self-membered elements.  Expected false everywhere."""
-    return u.members_mask(x) == nonself_mask(u)
+    return bool(u.facts.russell_mask >> u.index(x) & 1)
 
 
 def classify(u: Universe, x: ElementId) -> Classification:
@@ -146,11 +147,8 @@ def russell_witness(u: Universe) -> ElementId | None:
     """Least element whose members are exactly the non-self-membered
     elements.  Its existence would be a contradiction, so this is expected
     to return None on every universe."""
-    target = nonself_mask(u)
-    for x, row in zip(u.names, u.masks):
-        if row == target:
-            return x
-    return None
+    russell = u.facts.russell_mask
+    return u.names[(russell & -russell).bit_length() - 1] if russell else None
 
 
 def _nonself_predicate(u: Universe) -> Predicate:

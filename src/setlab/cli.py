@@ -470,10 +470,7 @@ def main(argv=None) -> int:
     except LemmaViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SetlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SetlabError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

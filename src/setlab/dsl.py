@@ -130,31 +130,13 @@ class _LineParser:
             )
 
 
-def _parse_name_set(parser: _LineParser) -> tuple[str, ...]:
-    """'{' [name (',' name)*] '}' -> member names in written order."""
+def _parse_set(
+    parser: _LineParser, kinds: tuple[str, ...], what: str
+) -> tuple[tuple[str, str, int], ...]:
+    """'{' [item (',' item)*] '}' where each item is a token of one of the
+    given kinds (described as what) -> the item tokens in written order."""
     parser.expect("{", "'{'")
-    names: list[str] = []
-    token = parser.peek()
-    if token is not None and token[0] == "}":
-        parser.take()
-        return ()
-    while True:
-        names.append(parser.expect(NAME, "a name")[1])
-        token = parser.take()
-        if token is None:
-            raise DslSyntaxError("expected ',' or '}'", parser.lineno, parser.width + 1)
-        if token[0] == "}":
-            return tuple(names)
-        if token[0] != ",":
-            raise DslSyntaxError(
-                f"expected ',' or '}}', found {token[1]!r}", parser.lineno, token[2]
-            )
-
-
-def _parse_token_set(parser: _LineParser) -> tuple[tuple[str, str, int], ...]:
-    """'{' [tok (',' tok)*] '}' where tok is a name or 0rep."""
-    parser.expect("{", "'{'")
-    tokens: list[tuple[str, str, int]] = []
+    items: list[tuple[str, str, int]] = []
     token = parser.peek()
     if token is not None and token[0] == "}":
         parser.take()
@@ -162,19 +144,17 @@ def _parse_token_set(parser: _LineParser) -> tuple[tuple[str, str, int], ...]:
     while True:
         token = parser.take()
         if token is None:
-            raise DslSyntaxError("expected a token", parser.lineno, parser.width + 1)
-        if token[0] not in (NAME, ZERO_REP_TOKEN):
+            raise DslSyntaxError(f"expected {what}", parser.lineno, parser.width + 1)
+        if token[0] not in kinds:
             raise DslSyntaxError(
-                f"expected a name or 0rep, found {token[1]!r}",
-                parser.lineno,
-                token[2],
+                f"expected {what}, found {token[1]!r}", parser.lineno, token[2]
             )
-        tokens.append(token)
+        items.append(token)
         token = parser.take()
         if token is None:
             raise DslSyntaxError("expected ',' or '}'", parser.lineno, parser.width + 1)
         if token[0] == "}":
-            return tuple(tokens)
+            return tuple(items)
         if token[0] != ",":
             raise DslSyntaxError(
                 f"expected ',' or '}}', found {token[1]!r}", parser.lineno, token[2]
@@ -191,9 +171,9 @@ def _parse_urelement(parser: _LineParser, lineno: int) -> UrelementDecl:
             f"expected 'index', found {keyword[1]!r}", lineno, keyword[2]
         )
     parser.expect("(", "'('")
-    zero_slot = _parse_token_set(parser)
+    zero_slot = _parse_set(parser, (NAME, ZERO_REP_TOKEN), "a name or 0rep")
     parser.expect(",", "','")
-    mu_slot = _parse_token_set(parser)
+    mu_slot = _parse_set(parser, (NAME, ZERO_REP_TOKEN), "a name or 0rep")
     parser.expect(")", "')'")
     parser.at_end()
     for kind, value, col in zero_slot:
@@ -203,7 +183,6 @@ def _parse_urelement(parser: _LineParser, lineno: int) -> UrelementDecl:
                 lineno,
                 col,
             )
-    entities = []
     for kind, value, col in mu_slot:
         if kind != NAME:
             raise DslSyntaxError(
@@ -211,10 +190,10 @@ def _parse_urelement(parser: _LineParser, lineno: int) -> UrelementDecl:
                 lineno,
                 col,
             )
-        entities.append(value)
+    entities = tuple(token[1] for token in mu_slot)
     return UrelementDecl(
         name=name,
-        index=IndexSpec(zero_rep=bool(zero_slot), entities=tuple(entities)),
+        index=IndexSpec(zero_rep=bool(zero_slot), entities=entities),
         line=lineno,
     )
 
@@ -253,7 +232,7 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
             continue
         name = parser.expect(NAME, "a name")[1]
         parser.expect("=", "'='")
-        members = _parse_name_set(parser)
+        members = tuple(token[1] for token in _parse_set(parser, (NAME,), "a name"))
         parser.at_end()
         definitions.append((name, members, lineno))
 

@@ -1,10 +1,10 @@
-"""Exhaustive enumeration of small universes, canonical forms, and the
-hereditarily finite worlds.
+"""Exhaustive enumeration of small universes, filters, and canonical forms.
 
 An n-element universe is an n-by-n membership matrix, so there are exactly
 2^(n*n) of them.  Enumeration order is fixed: a single integer counter whose
 bit i*n+j (little-endian) says whether element j is a member of element i.
-That makes runs reproducible and the counter range partitionable.
+That makes runs reproducible and the counter range partitionable.  Every
+filter is a test on the universe's cached facts (``Universe.facts``).
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .audit import PREDECESSOR, SUCCESSOR, check_axiom
-from .classifier import is_lower, is_upper, russell_witness
 from .dsl import print_universe
 from .errors import CapExceededError
 from .universe import Universe
@@ -22,15 +20,14 @@ from .universe import Universe
 DEFAULT_MAX_N = 5
 
 FILTERS: dict[str, Callable[[Universe], bool]] = {
-    "satisfies-successor": lambda u: check_axiom(u, SUCCESSOR).satisfied,
-    "satisfies-predecessor": lambda u: check_axiom(u, PREDECESSOR).satisfied,
+    "satisfies-successor": lambda u: None not in u.facts.successor,
+    "satisfies-predecessor": lambda u: None not in u.facts.predecessor,
     "satisfies-both": lambda u: (
-        check_axiom(u, SUCCESSOR).satisfied
-        and check_axiom(u, PREDECESSOR).satisfied
+        None not in u.facts.successor and None not in u.facts.predecessor
     ),
-    "has-upper": lambda u: any(is_upper(u, x) for x in u.names),
-    "has-lower": lambda u: any(is_lower(u, x) for x in u.names),
-    "has-strictly-russellian": lambda u: russell_witness(u) is not None,
+    "has-upper": lambda u: u.facts.upper_mask != 0,
+    "has-lower": lambda u: u.facts.lower_mask != 0,
+    "has-strictly-russellian": lambda u: u.facts.russell_mask != 0,
 }
 
 
@@ -60,13 +57,6 @@ class EnumStats:
     total: int
     matching: int
     sample_witnesses: tuple[str, ...]
-
-
-def _encode(masks, n: int) -> int:
-    code = 0
-    for i, row in enumerate(masks):
-        code |= row << (i * n)
-    return code
 
 
 def _canonical_code(masks, n: int, perms) -> int:
@@ -134,29 +124,3 @@ def canonical_form(u: Universe, max_n: int = DEFAULT_MAX_N) -> bytes:
     best = _canonical_code(u.masks, n, perms)
     return bytes([n]) + best.to_bytes(max(1, (n * n + 7) // 8), "little")
 
-
-# Element counts of the hereditarily finite worlds by rank: rank 0 is the
-# empty world and each next rank is the powerset of the previous one.
-HF_SIZES = (0, 1, 2, 4, 16, 65536)
-HF_HARD_CAP = 5
-
-
-def hf_universe(rank: int, max_rank: int = 4) -> Universe:
-    """The universe of hereditarily finite sets of rank below the given
-    bound, with actual set membership as the relation.
-
-    Element h<i> encodes the set whose members are exactly the h<j> with bit
-    j of i set; h0 is the empty set.  With that encoding the elements of
-    rank r are precisely the codes 0 .. 2^(size of rank r-1) - 1, so the
-    membership mask of h<i> is i itself.  Every element is well-founded,
-    hence a lower; none is an upper.
-    """
-    if rank < 0:
-        raise ValueError("rank must be non-negative")
-    if rank > min(max_rank, HF_HARD_CAP):
-        raise CapExceededError(
-            f"rank {rank} exceeds the cap of {min(max_rank, HF_HARD_CAP)}"
-        )
-    size = HF_SIZES[rank]
-    names = tuple(f"h{i}" for i in range(size))
-    return Universe(names, tuple(range(size)))

@@ -43,6 +43,10 @@ class CollisionError(SetlabError):
     """A tagging update could not be completed without breaking bijectivity."""
 
 
+class IllFoundedBaseError(SetlabError, ValueError):
+    """A model's base universe has a membership cycle (or a self-loop)."""
+
+
 class PreconditionError(SetlabError):
     """A model does not have the configuration an operation requires."""
 

@@ -17,7 +17,9 @@ member of a tagged urelement iff its sprig has an odd number of members.
 With two levels the only odd size is 1, so membership is the XOR of the two
 slot tests.  A urelement tagged ({0rep}, {}) therefore contains everything,
 including itself: a universal set.  Tagging at most one urelement per index
-keeps the index-to-urelement map a partial bijection.
+keeps the index-to-urelement map a partial bijection.  Each model builds the
+interpreted relation once, as bitmask rows (``BaseModel.world``); membership
+queries read it, and ``sprig`` stays the definition tests compare it with.
 
 retag_counterexample_pair rewires that bijection so that two urelements N
 and M cut each other out: N contains everything but M, and M contains
@@ -36,16 +38,16 @@ from typing import Iterable, Mapping
 from .audit import Chain, LENGTH_CAP
 from .classifier import DESCENDING
 from .dsl import UniverseDoc, parse_document
-from .enumerator import hf_universe
 from .errors import (
     CollisionError,
     DuplicateDefinitionError,
+    IllFoundedBaseError,
     PoolExhaustedError,
     PreconditionError,
     UnknownElementError,
     UntaggedUrelementWarning,
 )
-from .universe import ElementId, Universe
+from .universe import ElementId, Universe, hf_universe
 
 LEVEL_ZERO = 0
 LEVEL_ONE = 1
@@ -182,10 +184,6 @@ class BaseModel:
         return frozenset(self.urelements)
 
     @cached_property
-    def _entity_set(self) -> frozenset[ElementId]:
-        return frozenset(self.entities)
-
-    @cached_property
     def _tag_by_bearer(self) -> dict[ElementId, Index]:
         return {bearer: index for index, bearer in self.tags}
 
@@ -193,11 +191,25 @@ class BaseModel:
     def _bearer_by_index(self) -> dict[Index, ElementId]:
         return {index: bearer for index, bearer in self.tags}
 
+    @cached_property
+    def world(self) -> Universe:
+        """The interpreted relation as a universe over the entities, built
+        once: base rows as in the base, a tagged urelement's row its listed
+        entities (complemented when the level-0 slot holds the shared
+        token), an untagged urelement's row empty."""
+        position = {x: i for i, x in enumerate(self.entities)}
+        everything = (1 << len(position)) - 1
+        masks = list(self.base.masks) + [0] * len(self.urelements)
+        for index, bearer in self.tags:
+            row = sum([1 << position[x] for x in index.listed_entities])
+            masks[position[bearer]] = row ^ everything if index.level0 else row
+        return Universe(self.entities, tuple(masks))
+
     def is_urelement(self, x: ElementId) -> bool:
         return x in self._pool
 
     def check_entity(self, x: ElementId) -> None:
-        if x not in self._entity_set:
+        if x not in self.base and x not in self._pool:
             raise UnknownElementError(f"unknown entity {x!r}")
 
     def tag_of(self, bearer: ElementId) -> Index | None:
@@ -228,7 +240,9 @@ def _require_well_founded(base: Universe) -> None:
                 changed = True
     if alive:
         names = ", ".join(base.ids(alive))
-        raise ValueError(f"base universe is not well-founded (cycle among {names})")
+        raise IllFoundedBaseError(
+            f"base universe is not well-founded (cycle among {names})"
+        )
 
 
 def sprig(model: BaseModel, x: ElementId, L: Index) -> Sprig:
@@ -243,24 +257,18 @@ def sprig(model: BaseModel, x: ElementId, L: Index) -> Sprig:
 
 
 def member_interp(model: BaseModel, x: ElementId, u: ElementId) -> bool:
-    """Interpreted membership: base membership when u is a base element;
-    for a tagged urelement, the XOR of the two slot tests (equivalently,
-    odd sprig size).  Untagged urelements have empty extensions and warn."""
+    """Interpreted membership, a bit of model.world: base membership when u
+    is a base element; for a tagged urelement, the XOR of the two slot tests
+    (odd sprig size).  Untagged urelements have empty extensions and warn."""
     model.check_entity(x)
     model.check_entity(u)
-    if not model.is_urelement(u):
-        if model.is_urelement(x):
-            return False
-        return model.base.is_member(x, u)
-    L = model.tag_of(u)
-    if L is None:
+    if model.is_urelement(u) and model.tag_of(u) is None:
         warnings.warn(
             f"membership queried against untagged urelement {u!r}",
             UntaggedUrelementWarning,
             stacklevel=2,
         )
-        return False
-    return (SHARED_REP in L.level0) != (own_rep(x) in L.level1)
+    return model.world.is_member(x, u)
 
 
 def extension_interp(model: BaseModel, u: ElementId) -> frozenset[ElementId]:
@@ -271,13 +279,7 @@ def extension_interp(model: BaseModel, u: ElementId) -> frozenset[ElementId]:
 def materialize(model: BaseModel) -> Universe:
     """Turn the interpreted relation into an ordinary universe over all
     entities, so the classifier and audit machinery apply unchanged."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UntaggedUrelementWarning)
-        extensions = {}
-        for u in model.entities:
-            members = extension_interp(model, u)
-            extensions[u] = tuple(x for x in model.entities if x in members)
-    return Universe.from_extensions(extensions)
+    return model.world
 
 
 def retag_counterexample_pair(

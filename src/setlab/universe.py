@@ -10,9 +10,10 @@ Extensions are stored as bitmasks over the canonical element order, so set
 algebra runs on machine words while the semantic contract stays "plain
 finite sets".  The canonical order is fixed at construction and drives all
 iteration, which keeps every derived report byte-reproducible.  What the
-classifier and the audit derive from a universe (self-membered, lower and
-upper masks, successor and predecessor tables) is computed once per
-universe and cached in ``Universe.facts``.
+classifier, the audit and the enumerator's filters derive from a universe
+(self-membered, lower and upper masks, the Russell set, successor and
+predecessor tables) is computed once per universe and cached in
+``Universe.facts``.  ``hf_universe`` builds the hereditarily finite worlds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import DuplicateDefinitionError, UnknownElementError
+from .errors import CapExceededError, DuplicateDefinitionError, UnknownElementError
 
 ElementId = str
 
@@ -61,12 +62,15 @@ class Facts(NamedTuple):
     extension(i) plus i, or None when that lookup is Absent or Multiple;
     ``successor_result[i]`` is the lookup's result.  ``predecessor`` and
     ``predecessor_result`` likewise for extension(i) minus i.
+    ``russell_mask`` has a bit per element whose members are exactly the
+    non-self-membered elements; it is expected to be 0 in every universe.
     """
 
     self_mask: int
     nonself_mask: int
     lower_mask: int
     upper_mask: int
+    russell_mask: int
     successor: tuple[int | None, ...]
     successor_result: tuple[LookupResult, ...]
     predecessor: tuple[int | None, ...]
@@ -136,7 +140,7 @@ class Universe:
         records."""
         names, masks = self.names, self.masks
         if not masks:
-            return Facts(0, 0, 0, 0, (), (), (), ())
+            return Facts(0, 0, 0, 0, 0, (), (), (), ())
         by_mask: dict[int, list[int]] = {}
         self_bits = 0
         for i, mask in enumerate(masks):
@@ -161,7 +165,10 @@ class Universe:
                 upper |= bit
             succ.append(found.get(mask | bit, absent))
             pred.append(found.get(mask & ~bit, absent))
-        return Facts(self_bits, nonself, lower, upper, *zip(*succ), *zip(*pred))
+        russell = sum([1 << i for i in by_mask.get(nonself, ())])
+        return Facts(
+            self_bits, nonself, lower, upper, russell, *zip(*succ), *zip(*pred)
+        )
 
     def __len__(self) -> int:
         return len(self.names)
@@ -185,12 +192,6 @@ class Universe:
     def all_mask(self) -> int:
         """Bitmask with one bit per element of the universe."""
         return (1 << len(self.names)) - 1
-
-    def mask(self, ids: Iterable[ElementId]) -> int:
-        result = 0
-        for x in ids:
-            result |= self.bit(x)
-        return result
 
     def ids(self, mask: int) -> tuple[ElementId, ...]:
         """Decode a bitmask into element ids, in canonical order."""
@@ -239,3 +240,30 @@ class Universe:
         predecessor target when it is.
         """
         return frozenset(self.ids(self.members_mask(x) ^ self.bit(x)))
+
+
+# Element counts of the hereditarily finite worlds by rank: rank 0 is the
+# empty world and each next rank is the powerset of the previous one.
+HF_SIZES = (0, 1, 2, 4, 16, 65536)
+HF_HARD_CAP = 5
+
+
+def hf_universe(rank: int, max_rank: int = 4) -> Universe:
+    """The universe of hereditarily finite sets of rank below the given
+    bound, with actual set membership as the relation.
+
+    Element h<i> encodes the set whose members are exactly the h<j> with bit
+    j of i set; h0 is the empty set.  With that encoding the elements of
+    rank r are precisely the codes 0 .. 2^(size of rank r-1) - 1, so the
+    membership mask of h<i> is i itself.  Every element is well-founded,
+    hence a lower; none is an upper.
+    """
+    if rank < 0:
+        raise ValueError("rank must be non-negative")
+    if rank > min(max_rank, HF_HARD_CAP):
+        raise CapExceededError(
+            f"rank {rank} exceeds the cap of {min(max_rank, HF_HARD_CAP)}"
+        )
+    size = HF_SIZES[rank]
+    names = tuple(f"h{i}" for i in range(size))
+    return Universe(names, tuple(range(size)))

@@ -260,6 +260,26 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: chain step")
 
+    def test_ill_founded_model_base_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "cycle.model"
+        path.write_text("a = {b}\nb = {a}\nurelement u index ( {0rep} , {} )\n")
+        code, out, err = run(
+            capsys, "interp", "--demo", "forster", "--model", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: base universe is not well-founded (cycle among a, b)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "{path}"), ("interp", "--demo", "upperchain", "--model", "{path}")],
+    )
+    def test_non_utf8_input_exits_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "latin1.uni"
+        path.write_bytes("\u00e9 = {}\n".encode("latin-1"))
+        code, out, err = run(capsys, *[part.format(path=path) for part in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+
     def test_non_positive_k_exits_two(self, capsys):
         code, _, err = run(capsys, "interp", "--demo", "upperchain", "--k", "0")
         assert code == 2

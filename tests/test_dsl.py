@@ -132,6 +132,19 @@ class TestModelDocuments:
         with pytest.raises(DuplicateDefinitionError):
             parse_document("a = {}\nurelement a\n", allow_urelements=True)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("a = {a,\n", "line 1, column 8: expected a name$"),
+            ("a = {0rep}\n", "column 6: expected a name, found '0rep'$"),
+            ("urelement u index ( {0rep,\n", "column 27: expected a name or 0rep$"),
+            ("urelement u index ( {} , {=} )\n", "found '='$"),
+        ],
+    )
+    def test_set_messages(self, text, message):
+        with pytest.raises(DslSyntaxError, match=message):
+            parse_document(text, allow_urelements=True)
+
     def test_index_keyword_required(self):
         with pytest.raises(DslSyntaxError, match="'index'"):
             parse_document(

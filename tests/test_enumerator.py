@@ -58,7 +58,7 @@ class TestFilters:
         pred = enumerate_universes(EnumSpec(n=1, filter="satisfies-predecessor"))
         assert pred.sample_witnesses == ("e0 = {}\n",)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_counts_match_the_oracle(self, n):
         oracles = {
             "satisfies-successor": oracle.satisfies_successor,

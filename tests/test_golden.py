@@ -139,7 +139,8 @@ GOLDEN = {
     "interp --demo upperchain --k 0": (2, "e3b0c44298fc1c14", "cd4b7d83ec048247"),
     "interp --demo quine --model plain.model": (2, "e3b0c44298fc1c14", "2378cf85b1967f24"),
     "interp --demo forster --model no-such.model": (2, "e3b0c44298fc1c14", "56fa02e63a9ba715"),
-    "interp --demo forster --model slot.model": (2, "e3b0c44298fc1c14", "1dd0f5a10d9486b4"),
+    # stderr: "error: line 2, column 27: expected a name or 0rep"
+    "interp --demo forster --model slot.model": (2, "e3b0c44298fc1c14", "4a4a241d3890806b"),
     "interp --demo forster --model badslot.model": (2, "e3b0c44298fc1c14", "d84e6700d05808f5"),
     "interp --demo upperchain --k 3 --model plain.model": (2, "e3b0c44298fc1c14", "dd7b49730872d8a8"),
     "verify broken.uni": (2, "e3b0c44298fc1c14", "f3db33f3dcf6999f"),

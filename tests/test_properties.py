@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,18 +10,25 @@ from setlab import (
     ASCENDING,
     LENGTH_CAP,
     SUCCESSOR,
+    BaseModel,
     Unique,
     Universe,
+    UntaggedUrelementWarning,
     canonical_form,
     check_axiom,
+    complement_index,
     comprehension_witness,
     is_lower,
     is_strictly_russellian,
     is_upper,
+    listing_index,
+    materialize,
+    member_interp,
     parse_universe,
     predicate,
     print_universe,
     russell_witness,
+    sprig,
     trace_chain,
     verify_lemma_suite,
 )
@@ -171,3 +179,41 @@ def test_print_parse_round_trip(u):
     assert {x: u.extension(x) for x in u.names} == {
         x: again.extension(x) for x in again.names
     }
+
+
+@st.composite
+def models(draw):
+    """A small model: a well-founded base (element i has members among the
+    earlier elements only) plus urelements that are untagged, listings or
+    complements.  An index drawn twice stays with its first bearer."""
+    n = draw(st.integers(min_value=0, max_value=3))
+    names = tuple(f"b{i}" for i in range(n))
+    masks = tuple(
+        draw(st.integers(min_value=0, max_value=(1 << i) - 1)) for i in range(n)
+    )
+    k = draw(st.integers(min_value=0, max_value=4))
+    pool = tuple(f"ur{i}" for i in range(k))
+    tagging = {}
+    for bearer in pool:
+        if draw(st.booleans()):
+            listed = draw(st.sets(st.sampled_from(names + pool)))
+            make = complement_index if draw(st.booleans()) else listing_index
+            tagging.setdefault(make(listed), bearer)
+    return BaseModel.build(Universe(names, masks), pool, tagging)
+
+
+@given(models())
+def test_materialized_membership_matches_the_base_and_the_sprig(model):
+    world = materialize(model)
+    assert world.names == model.entities
+    for u in model.entities:
+        tag = model.tag_of(u)
+        for x in model.entities:
+            if not model.is_urelement(u):
+                expected = not model.is_urelement(x) and model.base.is_member(x, u)
+            else:
+                expected = tag is not None and sprig(model, x, tag).odd
+            assert world.is_member(x, u) == expected
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UntaggedUrelementWarning)
+                assert member_interp(model, x, u) == expected
