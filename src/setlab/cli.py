@@ -4,7 +4,8 @@ Subcommands: check, classify, verify, chains, enumerate, interp.  Output is
 human-readable text by default or a single JSON document with --format
 json; both are byte-identical across runs on the same inputs.  Exit codes:
 0 success, 1 for a lemma violation, a failed demo check, or an unsatisfied
-axiom under --require, 2 for usage and parse errors.
+axiom under --require, 2 for usage and parse errors, 141 (128 + SIGPIPE)
+when the reader of stdout goes away early.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import LemmaViolationError, SetlabError
 from .universe import LookupResult, Multiple, Unique, Universe
 
 ENV_MAX_N = "SETLAB_MAX_N"
+EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as shells report it
 
 
 def _lookup_text(result: LookupResult) -> str:
@@ -37,9 +39,17 @@ def _lookup_json(result: LookupResult) -> dict:
     return {"kind": "absent"}
 
 
+def _read_text(path: str) -> str:
+    """The file's contents as UTF-8 text; a decoding error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise SetlabError(f"{exc} (in {path})") from None
+
+
 def _load_universe(path: str) -> Universe:
-    with open(path, "r", encoding="utf-8") as handle:
-        return dsl.parse_universe(handle.read())
+    return dsl.parse_universe(_read_text(path))
 
 
 def _emit(args, doc: dict, lines: list[str]) -> None:
@@ -248,8 +258,7 @@ def _cmd_enumerate(args) -> int:
 
 def _demo_model(args) -> interp.BaseModel:
     if args.model is not None:
-        with open(args.model, "r", encoding="utf-8") as handle:
-            return interp.parse_model(handle.read())
+        return interp.parse_model(_read_text(args.model))
     return interp.default_demo_model()
 
 
@@ -466,11 +475,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away: report nothing, keep interpreter shutdown
+        # from failing on the flush too, and exit as a SIGPIPE death would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except LemmaViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SetlabError, OSError, UnicodeDecodeError) as exc:
+    except (SetlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

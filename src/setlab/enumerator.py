@@ -5,10 +5,13 @@ An n-element universe is an n-by-n membership matrix, so there are exactly
 bit i*n+j (little-endian) says whether element j is a member of element i.
 That makes runs reproducible and the counter range partitionable.  Every
 filter is a test on the universe's cached facts (``Universe.facts``).
+With dedupe, a code is kept iff no relabelling of the elements gives a
+smaller one, so each isomorphism class is represented by its least code.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -59,21 +62,44 @@ class EnumStats:
     sample_witnesses: tuple[str, ...]
 
 
-def _canonical_code(masks, n: int, perms) -> int:
-    """Minimal matrix integer over all element permutations."""
-    best = None
-    for perm in perms:
-        code = 0
-        for i_new, i_old in enumerate(perm):
-            row = masks[i_old]
-            new_row = 0
-            for j_new, j_old in enumerate(perm):
-                if row >> j_old & 1:
-                    new_row |= 1 << j_new
-            code |= new_row << (i_new * n)
-        if best is None or code < best:
-            best = code
-    return best if best is not None else 0
+@functools.cache
+def _relabellings(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """One table per permutation p of range(n), where p sends old element
+    p[i] to new element i: the old row behind each new row, from the most
+    significant new row (n-1) down, and the relabelled value of every
+    possible row mask.  n! * 2^n entries in all; the size caps keep n small."""
+    tables = []
+    for perm in itertools.permutations(range(n)):
+        column = tuple(
+            sum(1 << j_new for j_new, j_old in enumerate(perm) if mask >> j_old & 1)
+            for mask in range(1 << n)
+        )
+        tables.append((perm[::-1], column))
+    return tuple(tables)
+
+
+def _relabelled_code(masks, order, column, n: int) -> int:
+    """The matrix integer of masks relabelled by one table."""
+    code = 0
+    for i_old in order:
+        code = code << n | column[masks[i_old]]
+    return code
+
+
+def _is_canonical(masks, tables) -> bool:
+    """True iff no relabelling gives a smaller matrix integer.  Rows are
+    compared from the most significant down: a permutation is dropped at the
+    first row where its code is larger, the code rejected at the first row
+    where it is smaller."""
+    top_down = masks[::-1]
+    for order, column in tables:
+        for row, i_old in zip(top_down, order):
+            new_row = column[masks[i_old]]
+            if new_row != row:
+                if new_row < row:
+                    return False
+                break
+    return True
 
 
 def enumerate_universes(
@@ -91,14 +117,14 @@ def enumerate_universes(
     matches = FILTERS[spec.filter] if spec.filter else None
     names = tuple(f"e{i}" for i in range(n))
     row_mask = (1 << n) - 1
-    perms = list(itertools.permutations(range(n))) if spec.dedupe else None
+    tables = _relabellings(n) if spec.dedupe else None
 
     total = 0
     matching = 0
     witnesses: list[str] = []
     for code in range(1 << (n * n)):
         masks = tuple(code >> (i * n) & row_mask for i in range(n))
-        if perms is not None and _canonical_code(masks, n, perms) != code:
+        if tables is not None and not _is_canonical(masks, tables):
             continue
         total += 1
         u = Universe(names, masks)
@@ -120,7 +146,9 @@ def canonical_form(u: Universe, max_n: int = DEFAULT_MAX_N) -> bytes:
         raise CapExceededError(
             f"canonical form of a {n}-element universe exceeds the cap of {max_n}"
         )
-    perms = itertools.permutations(range(n))
-    best = _canonical_code(u.masks, n, perms)
+    best = min(
+        _relabelled_code(u.masks, order, column, n)
+        for order, column in _relabellings(n)
+    )
     return bytes([n]) + best.to_bytes(max(1, (n * n + 7) // 8), "little")
 

@@ -256,24 +256,32 @@ def sprig(model: BaseModel, x: ElementId, L: Index) -> Sprig:
     return Sprig(frozenset(pairs))
 
 
-def member_interp(model: BaseModel, x: ElementId, u: ElementId) -> bool:
-    """Interpreted membership, a bit of model.world: base membership when u
-    is a base element; for a tagged urelement, the XOR of the two slot tests
-    (odd sprig size).  Untagged urelements have empty extensions and warn."""
-    model.check_entity(x)
+def _check_target(model: BaseModel, u: ElementId) -> None:
+    """Validate u as a membership target; warn, at the caller of the public
+    function, when u is an untagged urelement (its extension is empty)."""
     model.check_entity(u)
     if model.is_urelement(u) and model.tag_of(u) is None:
         warnings.warn(
             f"membership queried against untagged urelement {u!r}",
             UntaggedUrelementWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+
+
+def member_interp(model: BaseModel, x: ElementId, u: ElementId) -> bool:
+    """Interpreted membership, a bit of model.world: base membership when u
+    is a base element; for a tagged urelement, the XOR of the two slot tests
+    (odd sprig size).  Untagged urelements have empty extensions and warn."""
+    model.check_entity(x)
+    _check_target(model, u)
     return model.world.is_member(x, u)
 
 
 def extension_interp(model: BaseModel, u: ElementId) -> frozenset[ElementId]:
-    """All entities that are interpreted members of u."""
-    return frozenset(x for x in model.entities if member_interp(model, x, u))
+    """All entities that are interpreted members of u: u's row of
+    model.world.  Untagged urelements have empty extensions and warn."""
+    _check_target(model, u)
+    return model.world.extension(u)
 
 
 def materialize(model: BaseModel) -> Universe:

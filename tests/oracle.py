@@ -8,6 +8,8 @@ under test.
 
 from __future__ import annotations
 
+import itertools
+
 
 def extension(d, x):
     return set(d[x])
@@ -70,3 +72,24 @@ def satisfies_successor(d):
 
 def satisfies_predecessor(d):
     return all(len(predecessors(d, x)) == 1 for x in d)
+
+
+def encode(d):
+    """The membership matrix of d as one integer, elements numbered in the
+    dict's key order: bit i*n + j is set iff element j is a member of
+    element i."""
+    number = {x: i for i, x in enumerate(d)}
+    n = len(d)
+    return sum(1 << (number[x] * n + number[y]) for x in d for y in d[x])
+
+
+def canonical_code(d):
+    """The least encoding of d over every relabelling of its elements."""
+    names = list(d)
+    codes = []
+    for order in itertools.permutations(names):
+        # order[k] takes the name and the position of names[k].
+        rename = dict(zip(order, names))
+        relabelled = {new: {rename[y] for y in d[old]} for old, new in rename.items()}
+        codes.append(encode(relabelled))
+    return min(codes)

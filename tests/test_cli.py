@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import setlab
 from setlab import audit
 from setlab.cli import main
 from setlab.errors import LemmaViolationError
@@ -279,6 +283,40 @@ class TestErrors:
         code, out, err = run(capsys, *[part.format(path=path) for part in argv])
         assert (code, out) == (2, "")
         assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "{path}"), ("interp", "--demo", "upperchain", "--model", "{path}")],
+    )
+    def test_non_utf8_input_names_the_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "latin1.uni"
+        path.write_bytes("\u00e9 = {}\n".encode("latin-1"))
+        _, _, err = run(capsys, *[part.format(path=path) for part in argv])
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xe9 in position 0: "
+            f"invalid continuation byte (in {path})\n"
+        )
+
+    def test_reader_closing_early_exits_141_silently(self, tmp_path):
+        # Far more than a pipe buffer holds, so the writer is still
+        # writing when the reader goes away.
+        path = tmp_path / "big.uni"
+        path.write_text("".join(f"e{i} = {{}}\n" for i in range(5000)))
+        src = os.path.dirname(os.path.dirname(setlab.__file__))
+        script = "import sys; from setlab.cli import main; sys.exit(main())"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "classify", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert first == f"universe: {path} (5000 elements)\n".encode()
+        assert (code, err) == (141, b"")
 
     def test_non_positive_k_exits_two(self, capsys):
         code, _, err = run(capsys, "interp", "--demo", "upperchain", "--k", "0")

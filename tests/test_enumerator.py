@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given
 
-from conftest import all_membership_dicts, to_universe
+from conftest import all_membership_dicts, to_universe, universes
 import oracle
 
 from setlab import (
@@ -19,8 +20,8 @@ from setlab import (
 
 # Isomorphism-class counts by Burnside's lemma over the symmetric group
 # acting on matrix cells: n=1: 2; n=2: (16 + 4)/2 = 10;
-# n=3: (512 + 3*32 + 2*8)/6 = 104.
-CLASS_COUNTS = {1: 2, 2: 10, 3: 104}
+# n=3: (512 + 3*32 + 2*8)/6 = 104; n=4: 3044 (OEIS A000595).
+CLASS_COUNTS = {1: 2, 2: 10, 3: 104, 4: 3044}
 
 
 class TestEnumerationTotals:
@@ -89,7 +90,7 @@ class TestFilters:
 
 
 class TestDedupe:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_class_counts_match_burnside(self, n):
         stats = enumerate_universes(EnumSpec(n=n, dedupe=True))
         assert stats.total == CLASS_COUNTS[n]
@@ -100,6 +101,22 @@ class TestDedupe:
             EnumSpec(n=2), visit=lambda u: forms.add(canonical_form(u))
         )
         assert len(forms) == CLASS_COUNTS[2]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_representatives_are_the_oracle_minimal_codes(self, n):
+        kept = []
+        enumerate_universes(
+            EnumSpec(n=n, dedupe=True),
+            visit=lambda u: kept.append(
+                oracle.encode({x: u.extension(x) for x in u.names})
+            ),
+        )
+        minimal = sorted(
+            oracle.encode(d)
+            for d in all_membership_dicts(n)
+            if oracle.encode(d) == oracle.canonical_code(d)
+        )
+        assert kept == minimal
 
     def test_dedupe_matching_counts_classes(self):
         stats = enumerate_universes(
@@ -137,6 +154,13 @@ class TestCanonicalForm:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             canonical_form(hf_universe(4), max_n=5)
+
+    @given(universes())
+    def test_matches_the_oracle(self, u):
+        form = canonical_form(u)
+        code = oracle.canonical_code({x: u.extension(x) for x in u.names})
+        assert form[0] == len(u)
+        assert int.from_bytes(form[1:], "little") == code
 
 
 class TestHfUniverse:

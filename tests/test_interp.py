@@ -137,6 +137,12 @@ class TestMemberInterp:
         with pytest.warns(UntaggedUrelementWarning):
             assert not member_interp(model, "ur0", "ur1")
 
+    def test_untagged_extension_is_empty_and_warns_at_the_caller(self):
+        model = small_model()
+        with pytest.warns(UntaggedUrelementWarning) as record:
+            assert extension_interp(model, "ur1") == frozenset()
+        assert [w.filename for w in record] == [__file__]
+
     def test_unknown_entity(self):
         model = small_model()
         with pytest.raises(UnknownElementError):
