@@ -18,10 +18,12 @@ from setlab import (
     VACUOUS,
     VIOLATED,
     Absent,
+    EnumSpec,
     Unique,
     Universe,
     UnknownElementError,
     check_axiom,
+    enumerate_universes,
     hf_universe,
     trace_chain,
     verify_lemma_suite,
@@ -137,11 +139,41 @@ STATUS_MATRIX = {
         "HVHVVVVVVVVVV": 1,
         "VHHVVVVVVVVVV": 1,
     },
+    # n=4 counts the 3,044 isomorphism-class representatives (--dedupe), not
+    # all 65,536 universes: status rows are relabelling-invariant, so the
+    # representatives show every row the full sweep does, in a tenth of
+    # the time.
+    4: {
+        "HVHHHHVVVVVVV": 581,
+        "VHHHHHVVVVVVV": 581,
+        "VVHVHHVVVVVVV": 410,
+        "HHHHHHVVVVVVV": 307,
+        "HVHHHHHHVVVHV": 216,
+        "HVHHHVVVVVVVV": 216,
+        "VHHHHHVVHHHHV": 216,
+        "VHHHVHVVVVVVV": 216,
+        "VVHVHVVVVVVVV": 43,
+        "VVHVVHVVVVVVV": 43,
+        "HVHVHHVVVVVVV": 30,
+        "VHHVHHVVVVVVV": 30,
+        "HHHHHHHHVVVHV": 28,
+        "HHHHHHVVHHHHV": 28,
+        "VVHVVVVVVVVVV": 25,
+        "HVHVVVVVVVVVV": 14,
+        "VHHVVVVVVVVVV": 14,
+        "HVHVVHVVVVVVV": 12,
+        "VHHVHVVVVVVVV": 12,
+        "HHHHVHVVVVVVV": 10,
+        "HHHHHVVVVVVVV": 9,
+        "HHHHHHHHHHHHV": 1,
+        "HHHHHVVVVVVHV": 1,
+        "HHHVVVVVVVVVV": 1,
+    },
 }
 
 
 class TestStatusMatrix:
-    @pytest.mark.parametrize("n", sorted(STATUS_MATRIX))
+    @pytest.mark.parametrize("n", range(4))
     def test_status_rows_over_every_universe(self, n):
         letter = {HOLDS: "H", VACUOUS: "V", VIOLATED: "X"}
         rows = Counter()
@@ -149,6 +181,18 @@ class TestStatusMatrix:
             report = verify_lemma_suite(to_universe(d))
             rows["".join(letter[v.status] for _, v in report.per_lemma)] += 1
         assert rows == STATUS_MATRIX[n]
+
+    def test_status_rows_over_the_n4_classes(self):
+        letter = {HOLDS: "H", VACUOUS: "V", VIOLATED: "X"}
+        rows = Counter()
+
+        def visit(u):
+            report = verify_lemma_suite(u)
+            rows["".join(letter[v.status] for _, v in report.per_lemma)] += 1
+
+        stats = enumerate_universes(EnumSpec(n=4, dedupe=True), visit=visit)
+        assert stats.total == 3044
+        assert rows == STATUS_MATRIX[4]
 
 
 class TestTraceChain:
