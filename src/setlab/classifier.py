@@ -36,10 +36,6 @@ class Classification:
                 f"{self.element!r} classified as both a lower and an upper"
             )
 
-    @property
-    def strictly_russellian(self) -> bool:
-        return self.lower and self.upper
-
 
 @dataclass(frozen=True)
 class Link:
@@ -51,15 +47,6 @@ class Link:
 
     direction: str
     phi: str | None = None
-
-
-def self_mask(u: Universe) -> int:
-    """Bitmask of the self-membered elements of u."""
-    return u.facts.self_mask
-
-
-def nonself_mask(u: Universe) -> int:
-    return u.facts.nonself_mask
 
 
 def is_lower(u: Universe, x: ElementId) -> bool:

@@ -4,8 +4,9 @@ Subcommands: check, classify, verify, chains, enumerate, interp.  Output is
 human-readable text by default or a single JSON document with --format
 json; both are byte-identical across runs on the same inputs.  Exit codes:
 0 success, 1 for a lemma violation, a failed demo check, or an unsatisfied
-axiom under --require, 2 for usage and parse errors, 141 (128 + SIGPIPE)
-when the reader of stdout goes away early.
+axiom under --require, 2 for usage and parse errors, 130 (128 + SIGINT)
+when interrupted with Ctrl-C, 141 (128 + SIGPIPE) when the reader of stdout
+goes away early.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import LemmaViolationError, SetlabError
 from .universe import LookupResult, Multiple, Unique, Universe
 
 ENV_MAX_N = "SETLAB_MAX_N"
+EXIT_INTERRUPTED = 128 + 2  # killed by SIGINT, as shells report it
 EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as shells report it
 
 
@@ -127,7 +129,9 @@ def _cmd_classify(args) -> int:
                 "lower": row.lower,
                 "upper": row.upper,
                 "self_membered": row.self_membered,
-                "strictly_russellian": row.strictly_russellian,
+                "strictly_russellian": classifier.is_strictly_russellian(
+                    u, row.element
+                ),
             }
             for row in rows
         ],
@@ -485,6 +489,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except LemmaViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

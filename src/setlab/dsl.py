@@ -12,9 +12,10 @@ Model documents additionally allow urelement declarations:
     urelement NAME
     urelement NAME index ( { [tokens] } , { [tokens] } )
 
-where the first token set may only contain the literal ``0rep`` and the
-second only entity names.  Forward references are allowed everywhere; every
-referenced name must be defined somewhere in the document.
+The two slots spell a tag (Index): the first may only contain the literal
+``0rep``, which switches on the complement, and the second only entity
+names, the listed entities.  Forward references are allowed everywhere;
+every referenced name must be defined somewhere in the document.
 """
 
 from __future__ import annotations
@@ -38,18 +39,18 @@ PUNCT = "={}(),"
 
 
 @dataclass(frozen=True)
-class IndexSpec:
-    """Parsed urelement tag: whether 0rep is present, and the exception or
-    listing entities of the second slot."""
+class Index:
+    """A urelement tag.  Its bearer contains exactly the listed entities,
+    or, when complement is set, everything except them."""
 
-    zero_rep: bool
-    entities: tuple[str, ...]
+    complement: bool
+    listed: frozenset[str]
 
 
 @dataclass(frozen=True)
 class UrelementDecl:
     name: str
-    index: IndexSpec | None
+    index: Index | None
     line: int
 
 
@@ -190,10 +191,10 @@ def _parse_urelement(parser: _LineParser, lineno: int) -> UrelementDecl:
                 lineno,
                 col,
             )
-    entities = tuple(token[1] for token in mu_slot)
+    listed = frozenset(token[1] for token in mu_slot)
     return UrelementDecl(
         name=name,
-        index=IndexSpec(zero_rep=bool(zero_slot), entities=entities),
+        index=Index(bool(zero_slot), listed),
         line=lineno,
     )
 
@@ -260,7 +261,7 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
     for decl in urelements:
         if decl.index is None:
             continue
-        for entity in decl.index.entities:
+        for entity in sorted(decl.index.listed):
             if entity not in defined:
                 raise UndefinedNameError(
                     f"line {decl.line}: undefined name {entity!r}"

@@ -2,12 +2,13 @@
 
 A BaseModel is a finite well-founded universe (the "base") together with a
 pool of urelements.  Urelements have no members in the base relation; an
-interpreted relation gives them members via tags.  A tag (Index) is a pair
-of representative-token sets:
+interpreted relation gives them members via tags.  A tag (``dsl.Index``) is
+a complement flag plus a set of listed entities; the paper writes it as two
+slots of representative tokens:
 
   * at level 0 every entity has the same representative (SHARED_REP), so
     putting it in the first slot flips membership for every candidate at
-    once (the complement switch);
+    once (the complement flag);
   * at level 1 each entity represents itself, so the second slot picks out
     individual entities (exceptions to a complement, or a plain listing).
 
@@ -15,11 +16,12 @@ For a candidate x and a tag L, the sprig of x is the set of level/token
 pairs of x that land inside the corresponding slot of L; x is an interpreted
 member of a tagged urelement iff its sprig has an odd number of members.
 With two levels the only odd size is 1, so membership is the XOR of the two
-slot tests.  A urelement tagged ({0rep}, {}) therefore contains everything,
-including itself: a universal set.  Tagging at most one urelement per index
-keeps the index-to-urelement map a partial bijection.  Each model builds the
-interpreted relation once, as bitmask rows (``BaseModel.world``); membership
-queries read it, and ``sprig`` stays the definition tests compare it with.
+slot tests: complement XOR listed.  A urelement tagged ({0rep}, {})
+therefore contains everything, including itself: a universal set.  Tagging
+at most one urelement per index keeps the index-to-urelement map a partial
+bijection.  Each model builds the interpreted relation once, as bitmask rows
+(``BaseModel.world``); membership queries read it, and ``sprig`` stays the
+definition tests compare it with.
 
 retag_counterexample_pair rewires that bijection so that two urelements N
 and M cut each other out: N contains everything but M, and M contains
@@ -37,7 +39,7 @@ from typing import Iterable, Mapping
 
 from .audit import Chain, LENGTH_CAP
 from .classifier import DESCENDING
-from .dsl import UniverseDoc, parse_document
+from .dsl import Index, UniverseDoc, parse_document
 from .errors import (
     CollisionError,
     DuplicateDefinitionError,
@@ -60,10 +62,6 @@ class RepToken:
 
     entity: ElementId | None = None
 
-    @property
-    def is_shared(self) -> bool:
-        return self.entity is None
-
 
 SHARED_REP = RepToken()
 
@@ -82,38 +80,19 @@ def level_rep(level: int, x: ElementId) -> RepToken:
     raise ValueError(f"level must be {LEVEL_ZERO} or {LEVEL_ONE}, got {level}")
 
 
-@dataclass(frozen=True)
-class Index:
-    """A urelement tag: the level-0 slot (complement switch) and the
-    level-1 slot (exception or listing set)."""
-
-    level0: frozenset[RepToken]
-    level1: frozenset[RepToken]
-
-    def __post_init__(self):
-        if any(not token.is_shared for token in self.level0):
-            raise ValueError("the level-0 slot may only contain the shared token")
-        if any(token.is_shared for token in self.level1):
-            raise ValueError("the level-1 slot may not contain the shared token")
-
-    @property
-    def listed_entities(self) -> frozenset[ElementId]:
-        return frozenset(token.entity for token in self.level1)
-
-
 def universal_index() -> Index:
     """Tag whose bearer contains every entity (itself included)."""
-    return Index(frozenset({SHARED_REP}), frozenset())
+    return Index(True, frozenset())
 
 
 def complement_index(exceptions: Iterable[ElementId]) -> Index:
     """Tag whose bearer contains everything except the listed entities."""
-    return Index(frozenset({SHARED_REP}), frozenset(own_rep(x) for x in exceptions))
+    return Index(True, frozenset(exceptions))
 
 
 def listing_index(members: Iterable[ElementId]) -> Index:
     """Tag whose bearer contains exactly the listed entities."""
-    return Index(frozenset(), frozenset(own_rep(x) for x in members))
+    return Index(False, frozenset(members))
 
 
 @dataclass(frozen=True)
@@ -159,7 +138,7 @@ class BaseModel:
                 raise CollisionError("tagging must be bijective")
             seen_indexes.add(index)
             seen_bearers.add(bearer)
-            for entity in index.listed_entities:
+            for entity in index.listed:
                 if entity not in entity_set:
                     raise UnknownElementError(
                         f"tag of {bearer!r} refers to unknown entity {entity!r}"
@@ -195,14 +174,14 @@ class BaseModel:
     def world(self) -> Universe:
         """The interpreted relation as a universe over the entities, built
         once: base rows as in the base, a tagged urelement's row its listed
-        entities (complemented when the level-0 slot holds the shared
-        token), an untagged urelement's row empty."""
+        entities (complemented when the tag's complement flag is set), an
+        untagged urelement's row empty."""
         position = {x: i for i, x in enumerate(self.entities)}
         everything = (1 << len(position)) - 1
         masks = list(self.base.masks) + [0] * len(self.urelements)
         for index, bearer in self.tags:
-            row = sum([1 << position[x] for x in index.listed_entities])
-            masks[position[bearer]] = row ^ everything if index.level0 else row
+            row = sum([1 << position[x] for x in index.listed])
+            masks[position[bearer]] = row ^ everything if index.complement else row
         return Universe(self.entities, tuple(masks))
 
     def is_urelement(self, x: ElementId) -> bool:
@@ -249,9 +228,9 @@ def sprig(model: BaseModel, x: ElementId, L: Index) -> Sprig:
     """The pairs (level, level-rep of x) that fall inside the tag L."""
     model.check_entity(x)
     pairs = set()
-    if SHARED_REP in L.level0:
+    if L.complement:
         pairs.add((LEVEL_ZERO, SHARED_REP))
-    if own_rep(x) in L.level1:
+    if x in L.listed:
         pairs.add((LEVEL_ONE, own_rep(x)))
     return Sprig(frozenset(pairs))
 
@@ -368,9 +347,9 @@ def _find_counterexample_pair(model: BaseModel):
     and complement-of-{M, N} tagged to M.  Deterministic first match in
     bearer order."""
     for index, bearer in model.tags:
-        if not index.level0 or len(index.level1) != 1:
+        if not index.complement or len(index.listed) != 1:
             continue
-        (candidate_m,) = index.listed_entities
+        (candidate_m,) = index.listed
         if not model.is_urelement(candidate_m):
             continue
         candidate_n = bearer
@@ -493,15 +472,11 @@ def model_from_doc(doc: UniverseDoc) -> BaseModel:
     for decl in doc.urelements:
         if decl.index is None:
             continue
-        index = Index(
-            frozenset({SHARED_REP}) if decl.index.zero_rep else frozenset(),
-            frozenset(own_rep(entity) for entity in decl.index.entities),
-        )
-        if index in tagging:
+        if decl.index in tagging:
             raise CollisionError(
-                f"line {decl.line}: index already tagged to {tagging[index]!r}"
+                f"line {decl.line}: index already tagged to {tagging[decl.index]!r}"
             )
-        tagging[index] = decl.name
+        tagging[decl.index] = decl.name
     return BaseModel.build(base, pool, tagging)
 
 

@@ -79,7 +79,7 @@ class TestClassification:
             u = to_universe(d)
             for row in classify_all(u):
                 assert not (row.lower and row.upper)
-                assert not row.strictly_russellian
+                assert not is_strictly_russellian(u, row.element)
 
     def test_quine_atom_row(self):
         row = classify(QUINE_ATOM, "q")

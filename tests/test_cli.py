@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -317,6 +319,25 @@ class TestErrors:
         code = proc.wait(timeout=60)
         assert first == f"universe: {path} (5000 elements)\n".encode()
         assert (code, err) == (141, b"")
+
+    def test_interrupt_exits_130_without_a_traceback(self):
+        # A full n=5 dedupe runs for minutes, so it is still enumerating
+        # when the interrupt arrives a second after start.
+        src = os.path.dirname(os.path.dirname(setlab.__file__))
+        script = "import sys; from setlab.cli import main; sys.exit(main())"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "enumerate", "--size", "5", "--dedupe"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            time.sleep(1)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, out, err) == (130, b"", b"error: interrupted\n")
 
     def test_non_positive_k_exits_two(self, capsys):
         code, _, err = run(capsys, "interp", "--demo", "upperchain", "--k", "0")

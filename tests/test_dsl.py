@@ -106,16 +106,16 @@ class TestModelDocuments:
         assert [decl.name for decl in doc.urelements] == ["u", "v"]
         assert doc.urelements[0].index is None
         spec = doc.urelements[1].index
-        assert spec.zero_rep
-        assert spec.entities == ("a", "u")
+        assert spec.complement
+        assert spec.listed == frozenset({"a", "u"})
 
     def test_empty_slots(self):
         doc = parse_document(
             "urelement u index ( {} , {} )\n", allow_urelements=True
         )
         spec = doc.urelements[0].index
-        assert not spec.zero_rep
-        assert spec.entities == ()
+        assert not spec.complement
+        assert spec.listed == frozenset()
 
     def test_zero_rep_only_in_first_slot(self):
         with pytest.raises(DslSyntaxError, match="first index slot"):

@@ -63,20 +63,10 @@ class TestRepTokens:
 
 
 class TestIndex:
-    def test_slot_discipline(self):
-        with pytest.raises(ValueError):
-            Index(frozenset({own_rep("a")}), frozenset())
-        with pytest.raises(ValueError):
-            Index(frozenset(), frozenset({SHARED_REP}))
-
     def test_builders(self):
-        assert universal_index() == Index(frozenset({SHARED_REP}), frozenset())
-        assert complement_index({"a"}) == Index(
-            frozenset({SHARED_REP}), frozenset({own_rep("a")})
-        )
-        assert listing_index({"a"}) == Index(
-            frozenset(), frozenset({own_rep("a")})
-        )
+        assert universal_index() == Index(True, frozenset())
+        assert complement_index({"a"}) == Index(True, frozenset({"a"}))
+        assert listing_index({"a"}) == Index(False, frozenset({"a"}))
 
 
 class TestSprig:
@@ -88,7 +78,7 @@ class TestSprig:
 
     def test_empty_tag_gives_no_pairs(self):
         model = small_model()
-        L = Index(frozenset(), frozenset())
+        L = Index(False, frozenset())
         for x in model.entities:
             assert sprig(model, x, L).pairs == frozenset()
 
@@ -111,7 +101,7 @@ class TestMemberInterp:
         assert member_interp(model, "ur0", "ur0")
 
     def test_empty_tag_contains_nothing(self):
-        model = small_model(tagging={Index(frozenset(), frozenset()): "ur0"})
+        model = small_model(tagging={Index(False, frozenset()): "ur0"})
         for x in model.entities:
             assert not member_interp(model, x, "ur0")
 
