@@ -20,12 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classifier import ASCENDING, DESCENDING
 from .errors import LemmaViolationError
 from .universe import Absent, ElementId, LookupResult, Universe
 
 SUCCESSOR = "successor"
 PREDECESSOR = "predecessor"
+
+# Directions for trace_chain: along successors or along predecessors.
+ASCENDING = "ascending"
+DESCENDING = "descending"
 
 HOLDS = "holds"
 VACUOUS = "vacuous"

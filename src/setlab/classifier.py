@@ -1,4 +1,4 @@
-"""Element classification: lowers, uppers, links, and witness searches.
+"""Element classification: lowers, uppers, and witness searches.
 
 A "lower" has only non-self-membered members; an "upper" contains every
 non-self-membered element of its universe.  Nothing can be both, which is
@@ -11,15 +11,9 @@ set, are read off masks each universe computes once and caches
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import LemmaViolationError
 from .universe import ElementId, Universe
-
-ASCENDING = "ascending"
-DESCENDING = "descending"
-
-Predicate = Callable[[ElementId], bool]
 
 
 @dataclass(frozen=True)
@@ -35,18 +29,6 @@ class Classification:
             raise LemmaViolationError(
                 f"{self.element!r} classified as both a lower and an upper"
             )
-
-
-@dataclass(frozen=True)
-class Link:
-    """A directed membership link between two distinct elements.
-
-    ``phi`` names the property both endpoints were required to satisfy, when
-    the link came from a predicate-restricted query.
-    """
-
-    direction: str
-    phi: str | None = None
 
 
 def is_lower(u: Universe, x: ElementId) -> bool:
@@ -89,41 +71,9 @@ def classify_all(u: Universe) -> tuple[Classification, ...]:
     )
 
 
-def link(u: Universe, x: ElementId, y: ElementId) -> tuple[Link, ...]:
-    """Links between two distinct elements: ascending if x is in y,
-    descending if y is in x; a 2-cycle yields both, identity yields none."""
-    if x == y:
-        u.index(x)
-        return ()
-    found = []
-    if u.is_member(x, y):
-        found.append(Link(ASCENDING))
-    if u.is_member(y, x):
-        found.append(Link(DESCENDING))
-    return tuple(found)
-
-
-def phi_link(
-    u: Universe,
-    x: ElementId,
-    y: ElementId,
-    phi: Predicate,
-    name: str | None = None,
-) -> tuple[Link, ...]:
-    """As link, additionally requiring both endpoints to satisfy phi."""
-    plain = link(u, x, y)
-    if not plain or not (phi(x) and phi(y)):
-        return ()
-    return tuple(Link(entry.direction, phi=name) for entry in plain)
-
-
-def comprehension_witness(u: Universe, phi: Predicate) -> ElementId | None:
+def comprehension_witness(u: Universe, target: int) -> ElementId | None:
     """Least element (canonical order) whose members are exactly the
-    elements satisfying phi, if any."""
-    target = 0
-    for i, x in enumerate(u.names):
-        if phi(x):
-            target |= 1 << i
+    elements in target, a member mask (bit i for the i-th element), if any."""
     for x, row in zip(u.names, u.masks):
         if row == target:
             return x
@@ -136,35 +86,3 @@ def russell_witness(u: Universe) -> ElementId | None:
     to return None on every universe."""
     russell = u.facts.russell_mask
     return u.names[(russell & -russell).bit_length() - 1] if russell else None
-
-
-def _nonself_predicate(u: Universe) -> Predicate:
-    return lambda x: not u.self_membered(x)
-
-
-def _lower_predicate(u: Universe) -> Predicate:
-    return lambda x: is_lower(u, x)
-
-
-def _upper_predicate(u: Universe) -> Predicate:
-    return lambda x: is_upper(u, x)
-
-
-# Named predicate vocabulary usable from the CLI and filter registry.
-PREDICATES: dict[str, Callable[[Universe], Predicate]] = {
-    "nonself": _nonself_predicate,
-    "lower": _lower_predicate,
-    "upper": _upper_predicate,
-    "all": lambda u: (lambda x: True),
-    "none": lambda u: (lambda x: False),
-}
-
-
-def predicate(u: Universe, name: str) -> Predicate:
-    """Resolve a named predicate against a universe."""
-    try:
-        factory = PREDICATES[name]
-    except KeyError:
-        known = ", ".join(sorted(PREDICATES))
-        raise ValueError(f"unknown predicate {name!r} (known: {known})") from None
-    return factory(u)

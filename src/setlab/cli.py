@@ -42,10 +42,13 @@ def _lookup_json(result: LookupResult) -> dict:
 
 
 def _read_text(path: str) -> str:
-    """The file's contents as UTF-8 text; a decoding error names the file."""
+    """The file's contents as UTF-8 text, less any leading byte-order mark;
+    a decoding error names the file.  The mark is stripped after decoding,
+    not by the utf-8-sig codec, so error positions stay byte offsets into
+    the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SetlabError(f"{exc} (in {path})") from None
 
@@ -190,8 +193,8 @@ def _cmd_chains(args) -> int:
         raise SetlabError("--cap must be at least 1")
     u = _load_universe(args.file)
     direction = {
-        "asc": classifier.ASCENDING,
-        "desc": classifier.DESCENDING,
+        "asc": audit.ASCENDING,
+        "desc": audit.DESCENDING,
     }[args.dir]
     chain = audit.trace_chain(u, args.start, direction, args.cap)
     doc = {

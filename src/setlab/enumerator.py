@@ -21,6 +21,8 @@ from .errors import CapExceededError
 from .universe import Universe
 
 DEFAULT_MAX_N = 5
+# How many matching universes an enumeration prints as samples.
+WITNESS_CAP = 3
 
 FILTERS: dict[str, Callable[[Universe], bool]] = {
     "satisfies-successor": lambda u: None not in u.facts.successor,
@@ -43,7 +45,6 @@ class EnumSpec:
     filter: str | None = None
     dedupe: bool = False
     max_n: int = DEFAULT_MAX_N
-    witness_cap: int = 3
 
     def __post_init__(self):
         if self.n < 0:
@@ -130,7 +131,7 @@ def enumerate_universes(
         u = Universe(names, masks)
         if matches is None or matches(u):
             matching += 1
-            if len(witnesses) < spec.witness_cap:
+            if len(witnesses) < WITNESS_CAP:
                 witnesses.append(print_universe(u))
             if visit is not None:
                 visit(u)

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .audit import Chain, LENGTH_CAP
-from .classifier import DESCENDING
+from .audit import DESCENDING, Chain, LENGTH_CAP
 from .dsl import Index, UniverseDoc, parse_document
 from .errors import (
     CollisionError,

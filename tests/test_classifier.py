@@ -4,9 +4,6 @@ from conftest import all_membership_dicts, to_universe
 import oracle
 
 from setlab import (
-    ASCENDING,
-    DESCENDING,
-    Link,
     Universe,
     UnknownElementError,
     classify,
@@ -15,9 +12,6 @@ from setlab import (
     is_lower,
     is_strictly_russellian,
     is_upper,
-    link,
-    phi_link,
-    predicate,
     russell_witness,
 )
 
@@ -86,36 +80,6 @@ class TestClassification:
         assert (row.lower, row.upper, row.self_membered) == (False, True, True)
 
 
-class TestLink:
-    def test_ascending(self):
-        u = universe(e=(), s=("e",))
-        assert link(u, "e", "s") == (Link(ASCENDING),)
-
-    def test_identity_never_links(self):
-        assert link(QUINE_ATOM, "q", "q") == ()
-
-    def test_two_cycle_links_both_ways(self):
-        assert link(TWO_CYCLE, "a", "b") == (Link(ASCENDING), Link(DESCENDING))
-
-
-class TestPhiLink:
-    def test_lower_ascending_link(self):
-        u = universe(e=(), s=("e",))
-        phi = predicate(u, "lower")
-        assert phi_link(u, "e", "s", phi, name="lower") == (
-            Link(ASCENDING, phi="lower"),
-        )
-
-    def test_upper_filter_rejects(self):
-        u = universe(e=(), s=("e",))
-        assert phi_link(u, "e", "s", predicate(u, "upper"), name="upper") == ()
-
-    def test_constantly_false_rejects_all_pairs(self):
-        for x in TWO_CYCLE.names:
-            for y in TWO_CYCLE.names:
-                assert phi_link(TWO_CYCLE, x, y, predicate(TWO_CYCLE, "none")) == ()
-
-
 class TestRussellWitness:
     def test_simple_universes(self):
         assert russell_witness(EMPTY_SET) is None
@@ -131,21 +95,31 @@ class TestRussellWitness:
 
 class TestComprehensionWitness:
     def test_constantly_false_finds_the_empty_set(self):
-        assert comprehension_witness(EMPTY_SET, lambda x: False) == "e"
+        assert comprehension_witness(EMPTY_SET, 0) == "e"
 
     def test_non_self_membership_agrees_with_russell_witness(self):
         for n in range(3):
             for d in all_membership_dicts(n):
                 u = to_universe(d)
-                nonself = predicate(u, "nonself")
+                nonself = u.facts.nonself_mask
                 assert comprehension_witness(u, nonself) == russell_witness(u)
 
     def test_constantly_true_finds_the_top(self):
-        assert comprehension_witness(WITH_TOP, lambda x: True) == "top"
+        assert comprehension_witness(WITH_TOP, WITH_TOP.all_mask) == "top"
 
     def test_least_witness_in_canonical_order(self):
         u = universe(a=(), b=())
-        assert comprehension_witness(u, lambda x: False) == "a"
+        assert comprehension_witness(u, 0) == "a"
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_agrees_with_the_oracle_on_every_target(self, n):
+        for d in all_membership_dicts(n):
+            u = to_universe(d)
+            for target in range(1 << n):
+                members = {x for i, x in enumerate(u.names) if target >> i & 1}
+                candidates = oracle.comprehension_candidates(d, members.__contains__)
+                expected = candidates[0] if candidates else None
+                assert comprehension_witness(u, target) == expected
 
 
 class TestAgainstOracle:
@@ -158,25 +132,9 @@ class TestAgainstOracle:
                 assert is_upper(u, x) == oracle.is_upper(d, x)
 
 
-class TestPredicateRegistry:
-    def test_vocabulary(self):
-        u = WITH_TOP
-        assert [x for x in u.names if predicate(u, "nonself")(x)] == ["a", "b"]
-        assert [x for x in u.names if predicate(u, "lower")(x)] == ["a", "b"]
-        assert [x for x in u.names if predicate(u, "upper")(x)] == ["top"]
-        assert [x for x in u.names if predicate(u, "all")(x)] == list(u.names)
-        assert [x for x in u.names if predicate(u, "none")(x)] == []
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown predicate"):
-            predicate(WITH_TOP, "bogus")
-
-
 class TestUnknownElements:
     def test_classifier_ops_reject_unknown_ids(self):
         with pytest.raises(UnknownElementError):
             is_lower(QUINE_ATOM, "zz")
         with pytest.raises(UnknownElementError):
             is_upper(QUINE_ATOM, "zz")
-        with pytest.raises(UnknownElementError):
-            link(QUINE_ATOM, "zz", "zz")

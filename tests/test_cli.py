@@ -299,6 +299,35 @@ class TestErrors:
             f"invalid continuation byte (in {path})\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("check", "{path}"), QUINE),
+            (("interp", "--demo", "forster", "--model", "{path}"), MODEL_WITH_PAIR),
+        ],
+        ids=["check", "forster"],
+    )
+    def test_byte_order_mark_is_accepted(self, capsys, tmp_path, argv, text):
+        # The report names the file, so both runs read the same path.
+        path = tmp_path / "input.uni"
+        results = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(prefix + text.encode("utf-8"))
+            code, out, _ = run(capsys, *[part.format(path=path) for part in argv])
+            results.append((code, out))
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and results[0][1]
+
+    def test_byte_order_mark_keeps_decode_error_offsets(self, capsys, tmp_path):
+        path = tmp_path / "latin1.uni"
+        path.write_bytes(b"\xef\xbb\xbf" + "\u00e9 = {}\n".encode("latin-1"))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xe9 in position 3: "
+            f"invalid continuation byte (in {path})\n"
+        )
+
     def test_reader_closing_early_exits_141_silently(self, tmp_path):
         # Far more than a pipe buffer holds, so the writer is still
         # writing when the reader goes away.

@@ -53,6 +53,12 @@ class TestFilters:
             "satisfies-both": 0,
         }
 
+    def test_satisfies_both_matches_no_four_element_universe(self):
+        # The filter does not change under relabelling, so the class
+        # representatives stand for all 65,536 universes.
+        stats = enumerate_universes(EnumSpec(n=4, filter="satisfies-both", dedupe=True))
+        assert (stats.total, stats.matching) == (3044, 0)
+
     def test_witnesses_are_the_expected_one_element_worlds(self):
         succ = enumerate_universes(EnumSpec(n=1, filter="satisfies-successor"))
         assert succ.sample_witnesses == ("e0 = {e0}\n",)
@@ -84,8 +90,8 @@ class TestFilters:
             EnumSpec(n=1, filter="bogus")
 
     def test_witness_cap_bounds_the_sample(self):
-        stats = enumerate_universes(EnumSpec(n=2, witness_cap=5))
-        assert len(stats.sample_witnesses) == 5
+        stats = enumerate_universes(EnumSpec(n=2))
+        assert len(stats.sample_witnesses) == 3
         assert stats.matching == 16
 
 

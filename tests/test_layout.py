@@ -3,7 +3,9 @@
 Lower layers never reach up: the enumerator needs neither the classifier
 nor the audit (its filters read ``Universe.facts``), interp builds worlds
 without the enumerator, and the tag type lives in ``dsl``, which interp
-imports and which imports nothing of interp.
+imports and which imports nothing of interp.  The chain directions live in
+``audit`` with ``trace_chain``, so neither audit nor interp needs the
+classifier.
 """
 
 import ast
@@ -21,9 +23,9 @@ ALLOWED = {
     "universe": {"errors"},
     "dsl": _CORE,
     "classifier": _CORE,
-    "audit": _CORE | {"classifier"},
+    "audit": _CORE,
     "enumerator": {"dsl", "errors", "universe"},
-    "interp": {"audit", "classifier", "dsl", "errors", "universe"},
+    "interp": {"audit", "dsl", "errors", "universe"},
     "cli": ANYTHING,
     "__init__": ANYTHING,
 }

@@ -8,6 +8,7 @@ from conftest import all_membership_dicts, to_universe, universes
 
 from setlab import (
     ASCENDING,
+    FILTERS,
     LENGTH_CAP,
     SUCCESSOR,
     BaseModel,
@@ -25,7 +26,6 @@ from setlab import (
     materialize,
     member_interp,
     parse_universe,
-    predicate,
     print_universe,
     russell_witness,
     sprig,
@@ -109,8 +109,15 @@ def test_lowers_and_uppers_never_meet(u):
 def test_russell_witness_agrees_with_comprehension(u):
     witness = russell_witness(u)
     assert witness is None
-    assert comprehension_witness(u, predicate(u, "nonself")) == witness
+    assert comprehension_witness(u, u.facts.nonself_mask) == witness
     assert all(not is_strictly_russellian(u, x) for x in u.names)
+
+
+@given(universes(max_n=8).filter(len))
+def test_no_nonempty_universe_satisfies_both_axioms(u):
+    # The toggle-walk proof in the README: a walk x -> the element with
+    # extension ext(x) ^ {x} would close a cycle of distinct toggles.
+    assert not FILTERS["satisfies-both"](u)
 
 
 @given(universes())
