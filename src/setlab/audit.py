@@ -13,11 +13,14 @@ verdict is "vacuous" rather than "holds".  A "violated" verdict always
 indicates an implementation bug and carries a concrete witness.  Every
 statement is evaluated as bit tests on the universe's cached masks and
 successor/predecessor tables (``Universe.facts``); names appear only in
-witnesses.
+witnesses, and witnesses are built only for violations.  A report without a
+violation depends only on which statements hold, so universes with the same
+row of statuses share one immutable report.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import LemmaViolationError
@@ -135,29 +138,31 @@ def check_axiom(u: Universe, which: str) -> AxiomReport:
 _HOLDS = Verdict(HOLDS)
 _VACUOUS = Verdict(VACUOUS)
 
-
-def _verdict(names, cases: int, bad: int, partner=None) -> Verdict:
-    """Verdict for a 'for every x with ...' statement.
-
-    cases has a bit per element meeting the statement's hypotheses and bad a
-    bit per such element where its conclusion fails.  The witness is the
-    first bad element in canonical order, followed by the element that
-    partner (a successor or predecessor table) pairs it with.
-    """
-    if bad:
-        i = (bad & -bad).bit_length() - 1
-        witness = (names[i],) if partner is None else (names[i], names[partner[i]])
-        return Verdict(VIOLATED, witness)
-    return _HOLDS if cases else _VACUOUS
-
-
-def _combine(*parts: Verdict) -> Verdict:
-    """Verdict for a statement made of parts: the first violated part, else
-    holds if any part holds, else vacuous."""
-    for part in parts:
-        if part.status == VIOLATED:
-            return part
-    return _HOLDS if HOLDS in [part.status for part in parts] else _VACUOUS
+# The parts the suite's statements are made of, in order, each with the
+# lookup whose result follows the bad element in a witness.  A statement is
+# violated by its first part with a bad element, and otherwise holds if any
+# of its parts has a case.  Stored as (index in LEMMA_TAGS, lookup).
+_PARTS = tuple(
+    (LEMMA_TAGS.index(tag), lookup)
+    for tag, lookup in (
+        ("L-lower-not-self", None),
+        ("L-upper-self", None),
+        ("C-not-both", None),
+        ("C-stoppage", PREDECESSOR),  # from lowers
+        ("C-stoppage", SUCCESSOR),  # from uppers
+        ("L-pred-not-self", PREDECESSOR),
+        ("L-succ-self", SUCCESSOR),
+        ("A", SUCCESSOR),
+        ("B", SUCCESSOR),
+        ("C2", PREDECESSOR),
+        ("D", PREDECESSOR),
+        ("E", PREDECESSOR),
+        ("main-result", None),  # link disjointness
+        ("main-result", SUCCESSOR),  # ascending steps from lowers
+        ("main-result", PREDECESSOR),  # descending steps from uppers
+        ("restated", None),
+    )
+)
 
 
 def _pair_masks(masks, table, kind: int) -> tuple[int, ...]:
@@ -183,46 +188,6 @@ def _pair_masks(masks, table, kind: int) -> tuple[int, ...]:
     return paired, same, moved, x_in_y, y_in_x, y_kind
 
 
-def verify_lemma_suite(u: Universe) -> LemmaReport:
-    """Exhaustively evaluate the whole lemma suite over one universe."""
-    names, masks, facts = u.names, u.masks, u.facts
-    nonself, lowers, uppers = facts.nonself_mask, facts.lower_mask, facts.upper_mask
-    succ, pred = facts.successor, facts.predecessor
-    # s_*: elements with a unique successor y; p_*: with a unique predecessor.
-    s_pair, s_same, s_moved, s_x_in, _, s_lower = _pair_masks(masks, succ, lowers)
-    p_pair, p_same, p_moved, p_x_in, p_y_in, p_upper = _pair_masks(masks, pred, uppers)
-    lower_succ, upper_succ = lowers & s_pair, uppers & s_pair
-    lower_pred, upper_pred = lowers & p_pair, uppers & p_pair
-
-    ascending = lower_succ & (s_same | ~s_x_in | ~s_lower)
-    descending = upper_pred & (p_same | ~p_y_in | ~p_upper)
-    # A Russell set x would have to be self-membered and not.
-    russell = facts.russell_mask
-    verdicts = (
-        _verdict(names, lowers, lowers & facts.self_mask),
-        _verdict(names, uppers, uppers & nonself),
-        _verdict(names, u.all_mask, lowers & uppers),
-        _combine(
-            _verdict(names, lower_pred, lower_pred & p_moved, pred),
-            _verdict(names, upper_succ, upper_succ & s_moved, succ),
-        ),
-        _verdict(names, p_pair, p_x_in, pred),
-        _verdict(names, s_pair, s_pair & ~s_x_in, succ),
-        _verdict(names, lower_succ, lower_succ & s_same, succ),
-        _verdict(names, lower_succ, lower_succ & ~s_lower, succ),
-        _verdict(names, upper_pred, upper_pred & p_same, pred),
-        _verdict(names, upper_pred, upper_pred & ~p_upper, pred),
-        _verdict(names, upper_pred, upper_pred & ~p_y_in, pred),
-        _main_result(
-            u,
-            _verdict(names, lower_succ, ascending, succ),
-            _verdict(names, upper_pred, descending, pred),
-        ),
-        _verdict(names, russell, russell & ~(facts.self_mask & nonself)),
-    )
-    return LemmaReport(tuple(zip(LEMMA_TAGS, verdicts)), (MAIN_RESULT_NOTE,))
-
-
 def _link_endpoints(masks, group: int) -> int:
     """Bitmask of elements that are an endpoint of a link whose endpoints
     both lie in group (a pair of distinct elements, one a member of the
@@ -236,14 +201,83 @@ def _link_endpoints(masks, group: int) -> int:
     return endpoints
 
 
-def _main_result(u: Universe, ascending: Verdict, descending: Verdict) -> Verdict:
-    """Combine link disjointness with the verdicts on the ascending steps
-    from lowers and the descending steps from uppers."""
-    lower_ends = _link_endpoints(u.masks, u.facts.lower_mask)
-    upper_ends = _link_endpoints(u.masks, u.facts.upper_mask)
-    # Disjointness is vacuous unless both kinds of link exist.
-    disjoint = _verdict(u.names, lower_ends and upper_ends, lower_ends & upper_ends)
-    return _combine(disjoint, ascending, descending)
+@functools.lru_cache(maxsize=1 << len(LEMMA_TAGS))
+def _clean_report(holds: tuple[bool, ...]) -> LemmaReport:
+    """The report without violations whose statements hold where holds is
+    true and are vacuous elsewhere.  Keyed by that row alone, the table has
+    at most one entry per row."""
+    return LemmaReport(
+        tuple([(tag, _HOLDS if h else _VACUOUS) for tag, h in zip(LEMMA_TAGS, holds)]),
+        (MAIN_RESULT_NOTE,),
+    )
+
+
+def verify_lemma_suite(u: Universe) -> LemmaReport:
+    """Exhaustively evaluate the whole lemma suite over one universe."""
+    names, masks, facts = u.names, u.masks, u.facts
+    self_, nonself = facts.self_mask, facts.nonself_mask
+    lowers, uppers = facts.lower_mask, facts.upper_mask
+    succ, pred = facts.successor, facts.predecessor
+    # s_*: elements with a unique successor y; p_*: with a unique predecessor.
+    s_pair, s_same, s_moved, s_x_in, _, s_lower = _pair_masks(masks, succ, lowers)
+    p_pair, p_same, p_moved, p_x_in, p_y_in, p_upper = _pair_masks(masks, pred, uppers)
+    lower_succ, upper_succ = lowers & s_pair, uppers & s_pair
+    lower_pred, upper_pred = lowers & p_pair, uppers & p_pair
+    lower_ends = _link_endpoints(masks, lowers)
+    upper_ends = _link_endpoints(masks, uppers)
+    # A Russell set x would have to be self-membered and not.
+    russell = facts.russell_mask
+
+    # Per statement of LEMMA_TAGS, whether some element meets its hypotheses.
+    # Link disjointness is vacuous unless both kinds of link exist.
+    holds = tuple(map(bool, (
+        lowers,
+        uppers,
+        u.all_mask,
+        lower_pred | upper_succ,
+        p_pair,
+        s_pair,
+        lower_succ,
+        lower_succ,
+        upper_pred,
+        upper_pred,
+        upper_pred,
+        (lower_ends and upper_ends) | lower_succ | upper_pred,
+        russell,
+    )))
+    # Per part of _PARTS, the elements where its conclusion fails.
+    bad = (
+        lowers & self_,
+        uppers & nonself,
+        lowers & uppers,
+        lower_pred & p_moved,
+        upper_succ & s_moved,
+        p_x_in,
+        s_pair & ~s_x_in,
+        lower_succ & s_same,
+        lower_succ & ~s_lower,
+        upper_pred & p_same,
+        upper_pred & ~p_upper,
+        upper_pred & ~p_y_in,
+        lower_ends & upper_ends,
+        lower_succ & (s_same | ~s_x_in | ~s_lower),
+        upper_pred & (p_same | ~p_y_in | ~p_upper),
+        russell & ~(self_ & nonself),
+    )
+    if not any(bad):
+        return _clean_report(holds)
+
+    tables = {None: None, SUCCESSOR: succ, PREDECESSOR: pred}
+    verdicts = [_HOLDS if h else _VACUOUS for h in holds]
+    for (statement, lookup), mask in zip(_PARTS, bad, strict=True):
+        if mask and verdicts[statement].status != VIOLATED:
+            # The witness: the first bad element in canonical order, then
+            # the element its lookup pairs it with.
+            i = (mask & -mask).bit_length() - 1
+            table = tables[lookup]
+            witness = (names[i],) if table is None else (names[i], names[table[i]])
+            verdicts[statement] = Verdict(VIOLATED, witness)
+    return LemmaReport(tuple(zip(LEMMA_TAGS, verdicts)), (MAIN_RESULT_NOTE,))
 
 
 def trace_chain(u: Universe, start: ElementId, direction: str, cap: int) -> Chain:

@@ -5,15 +5,23 @@ non-self-membered element of its universe.  Nothing can be both, which is
 the finite-universe face of the Russell paradox; the witness searches below
 exist to confirm that emptiness mechanically.  Both classes, and the Russell
 set, are read off masks each universe computes once and caches
-(``Universe.facts``).
+(``Universe.facts``).  ``classify_all`` returns one shared tuple per distinct
+names and masks.  An element classified as both raises LemmaViolationError,
+on every call: the message naming it is built only for that violation, and
+no failed classification is kept.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import LemmaViolationError
-from .universe import ElementId, Universe
+from .universe import ElementId, Universe, _interned
+
+# Entries of the classify_all table; n=5 sweeps meet about a thousand
+# distinct results.
+_CLASSIFY_TABLE = 2048
 
 
 @dataclass(frozen=True)
@@ -57,16 +65,24 @@ def classify(u: Universe, x: ElementId) -> Classification:
 
 
 def classify_all(u: Universe) -> tuple[Classification, ...]:
+    """The classification of every element, in canonical order.  Universes
+    with equal names and masks share one tuple."""
     facts = u.facts
+    return _interned(
+        _classifications, u.names, facts.lower_mask, facts.upper_mask, facts.self_mask
+    )
+
+
+@functools.lru_cache(maxsize=_CLASSIFY_TABLE)
+def _classifications(
+    names: tuple[ElementId, ...], lowers: int, uppers: int, selfs: int
+) -> tuple[Classification, ...]:
     return tuple(
         [
             Classification(
-                x,
-                bool(facts.lower_mask >> i & 1),
-                bool(facts.upper_mask >> i & 1),
-                bool(facts.self_mask >> i & 1),
+                x, bool(lowers >> i & 1), bool(uppers >> i & 1), bool(selfs >> i & 1)
             )
-            for i, x in enumerate(u.names)
+            for i, x in enumerate(names)
         ]
     )
 

@@ -117,14 +117,15 @@ def enumerate_universes(
         )
     matches = FILTERS[spec.filter] if spec.filter else None
     names = tuple(f"e{i}" for i in range(n))
-    row_mask = (1 << n) - 1
     tables = _relabellings(n) if spec.dedupe else None
 
     total = 0
     matching = 0
     witnesses: list[str] = []
-    for code in range(1 << (n * n)):
-        masks = tuple(code >> (i * n) & row_mask for i in range(n))
+    # The product varies its last entry fastest, so its reversed tuples are
+    # the row masks of the counter's codes in counter order.
+    for rows in itertools.product(range(1 << n), repeat=n):
+        masks = rows[::-1]
         if tables is not None and not _is_canonical(masks, tables):
             continue
         total += 1

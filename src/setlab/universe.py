@@ -13,13 +13,15 @@ iteration, which keeps every derived report byte-reproducible.  What the
 classifier, the audit and the enumerator's filters derive from a universe
 (self-membered, lower and upper masks, the Russell set, successor and
 predecessor tables) is computed once per universe and cached in
-``Universe.facts``.  ``hf_universe`` builds the hereditarily finite worlds.
+``Universe.facts``.  Its Unique lookup results come from one shared table
+per element-name tuple.  ``hf_universe`` builds the hereditarily finite
+worlds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CapExceededError, DuplicateDefinitionError, UnknownElementError
@@ -53,6 +55,27 @@ class Multiple:
 LookupResult = Unique | Absent | Multiple
 
 _ABSENT = Absent()
+
+# Sweeps revisit the same small universes, so results built from a universe's
+# names and masks are interned in bounded tables.  Only universes of at most
+# _INTERN_MAX_N elements go through a table, which bounds the memory the
+# tables hold as well as their entry counts.
+_INTERN_MAX_N = 8
+_UNIQUE_TABLES = 16
+
+
+def _interned(table, names: tuple[ElementId, ...], *key):
+    """table(names, *key): through its lru_cache when names is short enough
+    to intern, else built afresh."""
+    if len(names) <= _INTERN_MAX_N:
+        return table(names, *key)
+    return table.__wrapped__(names, *key)
+
+
+@lru_cache(maxsize=_UNIQUE_TABLES)
+def _uniques(names: tuple[ElementId, ...]) -> tuple[Unique, ...]:
+    """The Unique result naming each element of names."""
+    return tuple(map(Unique, names))
 
 
 class Facts(NamedTuple):
@@ -147,9 +170,10 @@ class Universe:
             by_mask.setdefault(mask, []).append(i)
             self_bits |= mask & 1 << i
         nonself = self.all_mask & ~self_bits
+        uniques = _interned(_uniques, names)
         # Target mask -> (index of its unique carrier or None, lookup result).
         found = {
-            mask: (at[0], Unique(names[at[0]]))
+            mask: (at[0], uniques[at[0]])
             if len(at) == 1
             else (None, Multiple(tuple([names[j] for j in at])))
             for mask, at in by_mask.items()

@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -22,12 +25,17 @@ from setlab import (
     Unique,
     Universe,
     UnknownElementError,
+    Verdict,
     check_axiom,
+    classify_all,
     enumerate_universes,
     hf_universe,
     trace_chain,
     verify_lemma_suite,
 )
+from setlab.audit import _clean_report
+from setlab.classifier import _CLASSIFY_TABLE, _classifications
+from setlab.universe import _INTERN_MAX_N, _UNIQUE_TABLES, _uniques
 
 
 def universe(**extensions):
@@ -193,6 +201,114 @@ class TestStatusMatrix:
         stats = enumerate_universes(EnumSpec(n=4, dedupe=True), visit=visit)
         assert stats.total == 3044
         assert rows == STATUS_MATRIX[4]
+
+
+def status_row(report):
+    letter = {HOLDS: "H", VACUOUS: "V", VIOLATED: "X"}
+    return "".join(letter[v.status] for _, v in report.per_lemma)
+
+
+class TestSharedReports:
+    """Equal results are one shared immutable object, in bounded tables."""
+
+    def test_equal_rows_and_equal_universes_share_objects(self):
+        names = ("e0", "e1", "e2", "e3")
+        u = Universe(names, (0b0000, 0b0001, 0b0011, 0b1111))
+        # The same membership relation with e0 and e3 swapped.
+        relabelled = Universe(names, (0b1111, 0b1000, 0b1010, 0b0000))
+        report = verify_lemma_suite(u)
+        assert report.ok and status_row(report) == "HHHHHHHHVVVHV"
+        assert verify_lemma_suite(relabelled) is report
+        twin = Universe(tuple(list(names)), tuple(list(u.masks)))
+        assert classify_all(twin) is classify_all(u)
+        assert twin.successor_in("e0") is u.successor_in("e0")
+
+    def test_a_planted_violation_is_never_served_a_shared_report(self):
+        extensions = dict(a=(), b=("a",), t=("a", "b", "t", "w"), w=("a", "b", "t", "w"))
+        clean = universe(**extensions)
+        row = status_row(verify_lemma_suite(clean))
+        u = universe(**extensions)
+        # t and w are coextensive self-membered uppers; a record that also
+        # makes them lowers breaks three statements, first at t.
+        u.__dict__["facts"] = u.facts._replace(
+            lower_mask=u.facts.lower_mask | u.bit("t") | u.bit("w")
+        )
+        report = verify_lemma_suite(u)
+        # Read without its violations, the row is the clean universe's, which
+        # the table already holds.
+        assert status_row(report).replace("X", "H") == row
+        assert report.violations == tuple(
+            (tag, Verdict(VIOLATED, ("t",)))
+            for tag in ("L-lower-not-self", "C-not-both", "main-result")
+        )
+        assert verify_lemma_suite(clean) is verify_lemma_suite(clean)
+        assert verify_lemma_suite(clean).ok
+
+    def test_sharing_and_table_bounds_over_a_sweep(self):
+        reports, classifications = {}, {}
+
+        def visit(u):
+            report = verify_lemma_suite(u)
+            assert reports.setdefault(report, report) is report
+            rows = classify_all(u)
+            assert classifications.setdefault(rows, rows) is rows
+
+        for n in range(5):
+            enumerate_universes(EnumSpec(n=n), visit=visit)
+        assert len(reports) == len(set().union(*map(set, STATUS_MATRIX.values())))
+        rng = random.Random(6)
+        names = tuple(f"x{i}" for i in range(6))
+        for _ in range(2000):
+            visit(Universe(names, tuple(rng.getrandbits(6) for _ in range(6))))
+        for table, bound in (
+            (_clean_report, 1 << len(LEMMA_TAGS)),
+            (_classifications, _CLASSIFY_TABLE),
+            (_uniques, _UNIQUE_TABLES),
+        ):
+            info = table.cache_info()
+            assert info.maxsize == bound
+            assert 0 < info.currsize <= bound
+
+    def test_large_universes_bypass_the_tables(self):
+        names = tuple(f"x{i}" for i in range(_INTERN_MAX_N + 1))
+        tables = (_classifications, _uniques)
+        before = [table.cache_info() for table in tables]
+        u = Universe(names, tuple(range(len(names))))
+        twin = Universe(names, u.masks)
+        assert classify_all(twin) == classify_all(u)
+        assert classify_all(twin) is not classify_all(u)
+        assert twin.successor_in("x0") is not u.successor_in("x0")
+        assert [table.cache_info() for table in tables] == before
+
+    def test_threads_racing_on_shared_universes(self):
+        # The threads share these universes, whose facts nobody has asked
+        # for yet, and start from empty tables.
+        universes = [to_universe(d) for d in all_membership_dicts(3)]
+        expected = [
+            repr((verify_lemma_suite(u), classify_all(u)))
+            for u in map(to_universe, all_membership_dicts(3))
+        ]
+        for table in (_clean_report, _classifications, _uniques):
+            table.cache_clear()
+        results = [None] * 4
+
+        def work(k):
+            results[k] = [
+                repr((verify_lemma_suite(u), classify_all(u))) for u in universes
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
 
 
 class TestTraceChain:

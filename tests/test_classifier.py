@@ -4,6 +4,7 @@ from conftest import all_membership_dicts, to_universe
 import oracle
 
 from setlab import (
+    LemmaViolationError,
     Universe,
     UnknownElementError,
     classify,
@@ -78,6 +79,20 @@ class TestClassification:
     def test_quine_atom_row(self):
         row = classify(QUINE_ATOM, "q")
         assert (row.lower, row.upper, row.self_membered) == (False, True, True)
+
+    def test_a_planted_overlap_raises_on_every_call(self):
+        # classify_all shares one tuple per names and masks; a record that
+        # makes an upper a lower as well must raise each time, never be
+        # served from or stored in that table.
+        clean = classify_all(WITH_TOP)
+        u = universe(a=(), b=("a",), top=("a", "b", "top"))
+        u.__dict__["facts"] = u.facts._replace(
+            lower_mask=u.facts.lower_mask | u.bit("top")
+        )
+        for _ in range(2):
+            with pytest.raises(LemmaViolationError, match="'top'"):
+                classify_all(u)
+        assert classify_all(WITH_TOP) is clean
 
 
 class TestRussellWitness:
