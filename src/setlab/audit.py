@@ -21,6 +21,7 @@ row of statuses share one immutable report.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from .errors import LemmaViolationError
@@ -137,32 +138,8 @@ def check_axiom(u: Universe, which: str) -> AxiomReport:
 
 _HOLDS = Verdict(HOLDS)
 _VACUOUS = Verdict(VACUOUS)
-
-# The parts the suite's statements are made of, in order, each with the
-# lookup whose result follows the bad element in a witness.  A statement is
-# violated by its first part with a bad element, and otherwise holds if any
-# of its parts has a case.  Stored as (index in LEMMA_TAGS, lookup).
-_PARTS = tuple(
-    (LEMMA_TAGS.index(tag), lookup)
-    for tag, lookup in (
-        ("L-lower-not-self", None),
-        ("L-upper-self", None),
-        ("C-not-both", None),
-        ("C-stoppage", PREDECESSOR),  # from lowers
-        ("C-stoppage", SUCCESSOR),  # from uppers
-        ("L-pred-not-self", PREDECESSOR),
-        ("L-succ-self", SUCCESSOR),
-        ("A", SUCCESSOR),
-        ("B", SUCCESSOR),
-        ("C2", PREDECESSOR),
-        ("D", PREDECESSOR),
-        ("E", PREDECESSOR),
-        ("main-result", None),  # link disjointness
-        ("main-result", SUCCESSOR),  # ascending steps from lowers
-        ("main-result", PREDECESSOR),  # descending steps from uppers
-        ("restated", None),
-    )
-)
+# The failure mask of a part of a statement (see verify_lemma_suite).
+_BAD = operator.itemgetter(3)
 
 
 def _pair_masks(masks, table, kind: int) -> tuple[int, ...]:
@@ -201,13 +178,13 @@ def _link_endpoints(masks, group: int) -> int:
     return endpoints
 
 
+# The key space is the bound: one entry per set of statements that hold.
 @functools.lru_cache(maxsize=1 << len(LEMMA_TAGS))
-def _clean_report(holds: tuple[bool, ...]) -> LemmaReport:
-    """The report without violations whose statements hold where holds is
-    true and are vacuous elsewhere.  Keyed by that row alone, the table has
-    at most one entry per row."""
+def _clean_report(holds: frozenset[str]) -> LemmaReport:
+    """The report without violations whose statements in holds hold and
+    whose other statements are vacuous."""
     return LemmaReport(
-        tuple([(tag, _HOLDS if h else _VACUOUS) for tag, h in zip(LEMMA_TAGS, holds)]),
+        tuple([(tag, _HOLDS if tag in holds else _VACUOUS) for tag in LEMMA_TAGS]),
         (MAIN_RESULT_NOTE,),
     )
 
@@ -225,59 +202,48 @@ def verify_lemma_suite(u: Universe) -> LemmaReport:
     lower_pred, upper_pred = lowers & p_pair, uppers & p_pair
     lower_ends = _link_endpoints(masks, lowers)
     upper_ends = _link_endpoints(masks, uppers)
-    # A Russell set x would have to be self-membered and not.
     russell = facts.russell_mask
 
-    # Per statement of LEMMA_TAGS, whether some element meets its hypotheses.
-    # Link disjointness is vacuous unless both kinds of link exist.
-    holds = tuple(map(bool, (
-        lowers,
-        uppers,
-        u.all_mask,
-        lower_pred | upper_succ,
-        p_pair,
-        s_pair,
-        lower_succ,
-        lower_succ,
-        upper_pred,
-        upper_pred,
-        upper_pred,
-        (lower_ends and upper_ends) | lower_succ | upper_pred,
-        russell,
-    )))
-    # Per part of _PARTS, the elements where its conclusion fails.
-    bad = (
-        lowers & self_,
-        uppers & nonself,
-        lowers & uppers,
-        lower_pred & p_moved,
-        upper_succ & s_moved,
-        p_x_in,
-        s_pair & ~s_x_in,
-        lower_succ & s_same,
-        lower_succ & ~s_lower,
-        upper_pred & p_same,
-        upper_pred & ~p_upper,
-        upper_pred & ~p_y_in,
-        lower_ends & upper_ends,
-        lower_succ & (s_same | ~s_x_in | ~s_lower),
-        upper_pred & (p_same | ~p_y_in | ~p_upper),
-        russell & ~(self_ & nonself),
+    # The parts the statements are made of: per part its statement, the
+    # table (successor or predecessor) whose entry follows the bad element in
+    # a witness, the elements meeting its hypotheses and those among them
+    # where its conclusion fails.
+    parts = (
+        ("L-lower-not-self", None, lowers, lowers & self_),
+        ("L-upper-self", None, uppers, uppers & nonself),
+        ("C-not-both", None, u.all_mask, lowers & uppers),
+        ("C-stoppage", pred, lower_pred, lower_pred & p_moved),  # from lowers
+        ("C-stoppage", succ, upper_succ, upper_succ & s_moved),  # from uppers
+        ("L-pred-not-self", pred, p_pair, p_x_in),
+        ("L-succ-self", succ, s_pair, s_pair & ~s_x_in),
+        ("A", succ, lower_succ, lower_succ & s_same),
+        ("B", succ, lower_succ, lower_succ & ~s_lower),
+        ("C2", pred, upper_pred, upper_pred & p_same),
+        ("D", pred, upper_pred, upper_pred & ~p_upper),
+        ("E", pred, upper_pred, upper_pred & ~p_y_in),
+        # Link disjointness is vacuous unless both kinds of link exist.
+        ("main-result", None, lower_ends and upper_ends, lower_ends & upper_ends),
+        # The ascending steps from lowers and the descending steps from uppers.
+        ("main-result", succ, lower_succ, lower_succ & (s_same | ~s_x_in | ~s_lower)),
+        ("main-result", pred, upper_pred, upper_pred & (p_same | ~p_y_in | ~p_upper)),
+        # A Russell set x would have to be self-membered and not.
+        ("restated", None, russell, russell & ~(self_ & nonself)),
     )
-    if not any(bad):
+    # A statement is violated by its first part with a bad element, and
+    # otherwise holds if any of its parts has a case.
+    holds = frozenset([tag for tag, _, cases, _ in parts if cases])
+    if not any(map(_BAD, parts)):
         return _clean_report(holds)
 
-    tables = {None: None, SUCCESSOR: succ, PREDECESSOR: pred}
-    verdicts = [_HOLDS if h else _VACUOUS for h in holds]
-    for (statement, lookup), mask in zip(_PARTS, bad, strict=True):
-        if mask and verdicts[statement].status != VIOLATED:
+    verdicts = {tag: _HOLDS if tag in holds else _VACUOUS for tag in LEMMA_TAGS}
+    for tag, table, _, bad in parts:
+        if bad and verdicts[tag].status != VIOLATED:
             # The witness: the first bad element in canonical order, then
-            # the element its lookup pairs it with.
-            i = (mask & -mask).bit_length() - 1
-            table = tables[lookup]
+            # the element table pairs it with.
+            i = (bad & -bad).bit_length() - 1
             witness = (names[i],) if table is None else (names[i], names[table[i]])
-            verdicts[statement] = Verdict(VIOLATED, witness)
-    return LemmaReport(tuple(zip(LEMMA_TAGS, verdicts)), (MAIN_RESULT_NOTE,))
+            verdicts[tag] = Verdict(VIOLATED, witness)
+    return LemmaReport(tuple(verdicts.items()), (MAIN_RESULT_NOTE,))
 
 
 def trace_chain(u: Universe, start: ElementId, direction: str, cap: int) -> Chain:

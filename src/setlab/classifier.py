@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import LemmaViolationError
-from .universe import ElementId, Universe, _interned
+from .universe import ElementId, Universe
 
 # Entries of the classify_all table; n=5 sweeps meet about a thousand
 # distinct results.
@@ -67,10 +67,8 @@ def classify(u: Universe, x: ElementId) -> Classification:
 def classify_all(u: Universe) -> tuple[Classification, ...]:
     """The classification of every element, in canonical order.  Universes
     with equal names and masks share one tuple."""
-    facts = u.facts
-    return _interned(
-        _classifications, u.names, facts.lower_mask, facts.upper_mask, facts.self_mask
-    )
+    f = u.facts
+    return _classifications(u.names, f.lower_mask, f.upper_mask, f.self_mask)
 
 
 @functools.lru_cache(maxsize=_CLASSIFY_TABLE)

@@ -56,20 +56,9 @@ LookupResult = Unique | Absent | Multiple
 
 _ABSENT = Absent()
 
-# Sweeps revisit the same small universes, so results built from a universe's
-# names and masks are interned in bounded tables.  Only universes of at most
-# _INTERN_MAX_N elements go through a table, which bounds the memory the
-# tables hold as well as their entry counts.
-_INTERN_MAX_N = 8
+# Sweeps revisit the same element names, so the Unique results naming them
+# are interned in a bounded table, one tuple per names tuple.
 _UNIQUE_TABLES = 16
-
-
-def _interned(table, names: tuple[ElementId, ...], *key):
-    """table(names, *key): through its lru_cache when names is short enough
-    to intern, else built afresh."""
-    if len(names) <= _INTERN_MAX_N:
-        return table(names, *key)
-    return table.__wrapped__(names, *key)
 
 
 @lru_cache(maxsize=_UNIQUE_TABLES)
@@ -170,7 +159,7 @@ class Universe:
             by_mask.setdefault(mask, []).append(i)
             self_bits |= mask & 1 << i
         nonself = self.all_mask & ~self_bits
-        uniques = _interned(_uniques, names)
+        uniques = _uniques(names)
         # Target mask -> (index of its unique carrier or None, lookup result).
         found = {
             mask: (at[0], uniques[at[0]])

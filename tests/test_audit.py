@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -34,8 +35,8 @@ from setlab import (
     verify_lemma_suite,
 )
 from setlab.audit import _clean_report
-from setlab.classifier import _CLASSIFY_TABLE, _classifications
-from setlab.universe import _INTERN_MAX_N, _UNIQUE_TABLES, _uniques
+from setlab.classifier import _classifications
+from setlab.universe import _uniques
 
 
 def universe(**extensions):
@@ -245,40 +246,34 @@ class TestSharedReports:
         assert verify_lemma_suite(clean).ok
 
     def test_sharing_and_table_bounds_over_a_sweep(self):
-        reports, classifications = {}, {}
+        reports = {}
 
         def visit(u):
             report = verify_lemma_suite(u)
-            assert reports.setdefault(report, report) is report
-            rows = classify_all(u)
-            assert classifications.setdefault(rows, rows) is rows
+            # One report object per row of statuses.
+            assert reports.setdefault(status_row(report), report) is report
+            twin = Universe(tuple(list(u.names)), tuple(list(u.masks)))
+            assert classify_all(twin) is classify_all(u)
 
-        for n in range(5):
+        for n in range(4):
             enumerate_universes(EnumSpec(n=n), visit=visit)
-        assert len(reports) == len(set().union(*map(set, STATUS_MATRIX.values())))
         rng = random.Random(6)
+        names = tuple(f"e{i}" for i in range(4))
+        for _ in range(5):
+            masks = tuple(rng.getrandbits(4) for _ in range(4))
+            for perm in itertools.permutations(range(4)):
+                relabelled = [0] * 4
+                for i, mask in enumerate(masks):
+                    relabelled[perm[i]] = sum(
+                        1 << perm[j] for j in range(4) if mask >> j & 1
+                    )
+                visit(Universe(names, tuple(relabelled)))
         names = tuple(f"x{i}" for i in range(6))
         for _ in range(2000):
             visit(Universe(names, tuple(rng.getrandbits(6) for _ in range(6))))
-        for table, bound in (
-            (_clean_report, 1 << len(LEMMA_TAGS)),
-            (_classifications, _CLASSIFY_TABLE),
-            (_uniques, _UNIQUE_TABLES),
-        ):
+        for table in (_clean_report, _classifications, _uniques):
             info = table.cache_info()
-            assert info.maxsize == bound
-            assert 0 < info.currsize <= bound
-
-    def test_large_universes_bypass_the_tables(self):
-        names = tuple(f"x{i}" for i in range(_INTERN_MAX_N + 1))
-        tables = (_classifications, _uniques)
-        before = [table.cache_info() for table in tables]
-        u = Universe(names, tuple(range(len(names))))
-        twin = Universe(names, u.masks)
-        assert classify_all(twin) == classify_all(u)
-        assert classify_all(twin) is not classify_all(u)
-        assert twin.successor_in("x0") is not u.successor_in("x0")
-        assert [table.cache_info() for table in tables] == before
+            assert info.maxsize is not None and info.currsize > 0
 
     def test_threads_racing_on_shared_universes(self):
         # The threads share these universes, whose facts nobody has asked
