@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     DslSyntaxError,
@@ -107,20 +108,17 @@ class _LineParser:
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self) -> tuple[str, str, int] | None:
+    def take(self, kinds: tuple[str, ...], what: str) -> tuple[str, str, int]:
+        """The next token, whose kind (or, for a keyword, whose text) must be
+        one of kinds; otherwise a syntax error saying what was expected."""
         token = self.peek()
-        if token is not None:
-            self.pos += 1
-        return token
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        token = self.take()
         if token is None:
             raise DslSyntaxError(f"expected {what}", self.lineno, self.width + 1)
-        if token[0] != kind:
+        if token[0] not in kinds and token[1] not in kinds:
             raise DslSyntaxError(
                 f"expected {what}, found {token[1]!r}", self.lineno, token[2]
             )
+        self.pos += 1
         return token
 
     def at_end(self):
@@ -136,46 +134,27 @@ def _parse_set(
 ) -> tuple[tuple[str, str, int], ...]:
     """'{' [item (',' item)*] '}' where each item is a token of one of the
     given kinds (described as what) -> the item tokens in written order."""
-    parser.expect("{", "'{'")
-    items: list[tuple[str, str, int]] = []
+    parser.take(("{",), "'{'")
     token = parser.peek()
     if token is not None and token[0] == "}":
-        parser.take()
+        parser.pos += 1
         return ()
-    while True:
-        token = parser.take()
-        if token is None:
-            raise DslSyntaxError(f"expected {what}", parser.lineno, parser.width + 1)
-        if token[0] not in kinds:
-            raise DslSyntaxError(
-                f"expected {what}, found {token[1]!r}", parser.lineno, token[2]
-            )
-        items.append(token)
-        token = parser.take()
-        if token is None:
-            raise DslSyntaxError("expected ',' or '}'", parser.lineno, parser.width + 1)
-        if token[0] == "}":
-            return tuple(items)
-        if token[0] != ",":
-            raise DslSyntaxError(
-                f"expected ',' or '}}', found {token[1]!r}", parser.lineno, token[2]
-            )
+    items = [parser.take(kinds, what)]
+    while parser.take((",", "}"), "',' or '}'")[0] == ",":
+        items.append(parser.take(kinds, what))
+    return tuple(items)
 
 
 def _parse_urelement(parser: _LineParser, lineno: int) -> UrelementDecl:
-    name = parser.expect(NAME, "a urelement name")[1]
+    name = parser.take((NAME,), "a urelement name")[1]
     if parser.peek() is None:
         return UrelementDecl(name=name, index=None, line=lineno)
-    keyword = parser.expect(NAME, "'index'")
-    if keyword[1] != "index":
-        raise DslSyntaxError(
-            f"expected 'index', found {keyword[1]!r}", lineno, keyword[2]
-        )
-    parser.expect("(", "'('")
+    parser.take(("index",), "'index'")
+    parser.take(("(",), "'('")
     zero_slot = _parse_set(parser, (NAME, ZERO_REP_TOKEN), "a name or 0rep")
-    parser.expect(",", "','")
+    parser.take((",",), "','")
     mu_slot = _parse_set(parser, (NAME, ZERO_REP_TOKEN), "a name or 0rep")
-    parser.expect(")", "')'")
+    parser.take((")",), "')'")
     parser.at_end()
     for kind, value, col in zero_slot:
         if kind != ZERO_REP_TOKEN:
@@ -228,44 +207,31 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
                     lineno,
                     first[2],
                 )
-            parser.take()
+            parser.pos = 1  # past the keyword
             urelements.append(_parse_urelement(parser, lineno))
             continue
-        name = parser.expect(NAME, "a name")[1]
-        parser.expect("=", "'='")
+        name = parser.take((NAME,), "a name")[1]
+        parser.take(("=",), "'='")
         members = tuple(token[1] for token in _parse_set(parser, (NAME,), "a name"))
         parser.at_end()
         definitions.append((name, members, lineno))
 
+    # Each name rule in one pass: the definitions first, then the urelements.
+    declared = [
+        (decl.name, sorted(decl.index.listed) if decl.index else (), decl.line)
+        for decl in urelements
+    ]
     defined: dict[str, int] = {}
-    for name, _, lineno in definitions:
+    for name, _, lineno in chain(definitions, declared):
         if name in defined:
             raise DuplicateDefinitionError(
                 f"line {lineno}: {name!r} already defined on line {defined[name]}"
             )
         defined[name] = lineno
-    for decl in urelements:
-        if decl.name in defined:
-            raise DuplicateDefinitionError(
-                f"line {decl.line}: {decl.name!r} already defined on line "
-                f"{defined[decl.name]}"
-            )
-        defined[decl.name] = decl.line
-
-    for name, members, lineno in definitions:
+    for _, members, lineno in chain(definitions, declared):
         for member in members:
             if member not in defined:
-                raise UndefinedNameError(
-                    f"line {lineno}: undefined name {member!r}"
-                )
-    for decl in urelements:
-        if decl.index is None:
-            continue
-        for entity in sorted(decl.index.listed):
-            if entity not in defined:
-                raise UndefinedNameError(
-                    f"line {decl.line}: undefined name {entity!r}"
-                )
+                raise UndefinedNameError(f"line {lineno}: undefined name {member!r}")
 
     return UniverseDoc(
         definitions=tuple((name, members) for name, members, _ in definitions),

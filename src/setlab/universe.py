@@ -125,8 +125,6 @@ class Universe:
         """
         names = tuple(extensions)
         position = {name: i for i, name in enumerate(names)}
-        if len(position) != len(names):
-            raise DuplicateDefinitionError("duplicate element ids in universe")
         masks = []
         for name in names:
             mask = 0

@@ -139,6 +139,12 @@ class TestModelDocuments:
             ("a = {0rep}\n", "column 6: expected a name, found '0rep'$"),
             ("urelement u index ( {0rep,\n", "column 27: expected a name or 0rep$"),
             ("urelement u index ( {} , {=} )\n", "found '='$"),
+            ("a\n", "column 2: expected '='$"),
+            ("a = {b\n", "column 7: expected ',' or '}'$"),
+            ("a = {b c}\n", "column 8: expected ',' or '}', found 'c'$"),
+            ("urelement u index\n", r"column 18: expected '\('$"),
+            ("urelement u index ( {} {} )\n", r"column 24: expected ',', found '\{'$"),
+            ("urelement u index ( {} , {} \n", r"column 29: expected '\)'$"),
         ],
     )
     def test_set_messages(self, text, message):

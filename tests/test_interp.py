@@ -191,6 +191,18 @@ class TestRetagCounterexamplePair:
         bearers = [bearer for _, bearer in after.tags]
         assert len(bearers) == len(set(bearers))
 
+    def test_fixup_moves_the_displaced_bearer_of_m(self):
+        # The index that used to bear M takes over m's previous bearer.
+        m_index = complement_index({"ur1", "ur2"})
+        other = listing_index({"ur0"})
+        before = small_model(tagging={m_index: "ur3", other: "ur1"})
+        after = retag_counterexample_pair(before, "ur1", "ur2")
+        assert after.bearer_of(m_index) == "ur1"
+        assert after.bearer_of(complement_index({"ur1"})) == "ur2"
+        assert after.bearer_of(other) == "ur3"
+        bearers = [bearer for _, bearer in after.tags]
+        assert len(bearers) == len(set(bearers))
+
     def test_orphaned_bearer_becomes_untagged(self):
         n_index = complement_index({"ur1"})
         before = small_model(tagging={n_index: "ur3"})

@@ -9,6 +9,7 @@ from conftest import all_membership_dicts, to_universe, universes
 from setlab import (
     ASCENDING,
     FILTERS,
+    LEMMA_TAGS,
     LENGTH_CAP,
     SUCCESSOR,
     BaseModel,
@@ -145,6 +146,35 @@ def test_lemma_statuses_are_relabelling_invariant():
                 relabelled = Universe.from_extensions({x: sorted(d[x]) for x in order})
                 report = verify_lemma_suite(relabelled)
                 assert [v.status for _, v in report.per_lemma] == statuses, order
+
+
+# Under the membership complement lowers and uppers swap, and so do
+# successors and predecessors, so each lemma's status on the complement is
+# the status of its dual on the universe.  E has no dual in the suite; its
+# status on the complement is A's.
+COMPLEMENT_DUAL = {
+    "L-lower-not-self": "L-upper-self",
+    "L-upper-self": "L-lower-not-self",
+    "L-succ-self": "L-pred-not-self",
+    "L-pred-not-self": "L-succ-self",
+    "A": "C2",
+    "C2": "A",
+    "B": "D",
+    "D": "B",
+    "E": "A",
+}
+
+
+def test_lemma_statuses_follow_the_complement_duality():
+    for n in range(4):
+        for d in all_membership_dicts(n):
+            u = to_universe(d)
+            c = Universe(u.names, tuple(u.all_mask & ~mask for mask in u.masks))
+            before = dict(verify_lemma_suite(u).per_lemma)
+            after = dict(verify_lemma_suite(c).per_lemma)
+            for tag in LEMMA_TAGS:
+                dual = COMPLEMENT_DUAL.get(tag, tag)
+                assert after[tag].status == before[dual].status, (d, tag)
 
 
 @given(universes(), st.randoms())
