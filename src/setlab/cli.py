@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: check, classify, verify, chains, enumerate, interp.  Output is
-human-readable text by default or a single JSON document with --format
-json; both are byte-identical across runs on the same inputs.  Exit codes:
-0 success, 1 for a lemma violation, a failed demo check, or an unsatisfied
-axiom under --require, 2 for usage and parse errors, 130 (128 + SIGINT)
-when interrupted with Ctrl-C, 141 (128 + SIGPIPE) when the reader of stdout
-goes away early.
+human-readable text by default or, with --format json, one JSON document
+led by a ``command`` echo; both are byte-identical across runs on the same
+inputs.  ``_emit`` prints every report and returns its exit code: 0 on
+success, 1 for a lemma violation, a failed demo check, or an unsatisfied
+axiom under --require.  ``main`` exits 2 for usage and parse errors, 130
+(128 + SIGINT) on Ctrl-C, 141 (128 + SIGPIPE) when stdout's reader leaves.
 """
 
 from __future__ import annotations
@@ -57,11 +57,16 @@ def _load_universe(path: str) -> Universe:
     return dsl.parse_universe(_read_text(path))
 
 
-def _emit(args, doc: dict, lines: list[str]) -> None:
+def _emit(args, doc: dict, lines: list[str], ok: bool = True) -> int:
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(json.dumps({"command": args.command, **doc}, indent=2))
     else:
         print("\n".join(lines))
+    return 0 if ok else 1
+
+
+def _flag(value: bool) -> str:
+    return "yes" if value else "no"
 
 
 # -- check ------------------------------------------------------------------
@@ -76,7 +81,6 @@ def _cmd_check(args) -> int:
     ok = all(r.satisfied for r in reports if args.require in (r.axiom, "both"))
 
     doc = {
-        "command": "check",
         "file": args.file,
         "elements": len(u),
         "axioms": [
@@ -101,8 +105,7 @@ def _cmd_check(args) -> int:
             lines.append(f"  {x}: {_lookup_text(result)}")
     if args.require:
         lines.append(f"require {args.require}: {'ok' if ok else 'FAIL'}")
-    _emit(args, doc, lines)
-    return 0 if ok else 1
+    return _emit(args, doc, lines, ok)
 
 
 # -- classify -----------------------------------------------------------------
@@ -113,11 +116,7 @@ def _cmd_classify(args) -> int:
     rows = classifier.classify_all(u)
     witness = classifier.russell_witness(u)
 
-    def flag(value: bool) -> str:
-        return "yes" if value else "no"
-
     doc = {
-        "command": "classify",
         "file": args.file,
         "elements": [
             {
@@ -136,12 +135,11 @@ def _cmd_classify(args) -> int:
     lines = [f"universe: {args.file} ({len(u)} elements)"]
     for row in rows:
         lines.append(
-            f"element {row.element}: lower={flag(row.lower)} "
-            f"upper={flag(row.upper)} self-membered={flag(row.self_membered)}"
+            f"element {row.element}: lower={_flag(row.lower)} "
+            f"upper={_flag(row.upper)} self-membered={_flag(row.self_membered)}"
         )
     lines.append(f"russell witness: {witness if witness else 'none'}")
-    _emit(args, doc, lines)
-    return 0
+    return _emit(args, doc, lines)
 
 
 # -- verify -------------------------------------------------------------------
@@ -151,7 +149,6 @@ def _cmd_verify(args) -> int:
     u = _load_universe(args.file)
     report = audit.verify_lemma_suite(u)
     doc = {
-        "command": "verify",
         "file": args.file,
         "elements": len(u),
         "lemmas": [
@@ -174,8 +171,7 @@ def _cmd_verify(args) -> int:
     for note in report.notes:
         lines.append(f"note: {note}")
     lines.append(f"result: {'ok' if report.ok else 'VIOLATED'}")
-    _emit(args, doc, lines)
-    return 0 if report.ok else 1
+    return _emit(args, doc, lines, report.ok)
 
 
 # -- chains -------------------------------------------------------------------
@@ -191,7 +187,6 @@ def _cmd_chains(args) -> int:
     }[args.dir]
     chain = audit.trace_chain(u, args.start, direction, args.cap)
     doc = {
-        "command": "chains",
         "file": args.file,
         "from": args.start,
         "direction": chain.direction,
@@ -208,8 +203,7 @@ def _cmd_chains(args) -> int:
         lines.append(f"terminated: {chain.terminated_by} (repeated {chain.repeated})")
     else:
         lines.append(f"terminated: {chain.terminated_by}")
-    _emit(args, doc, lines)
-    return 0
+    return _emit(args, doc, lines)
 
 
 # -- enumerate ----------------------------------------------------------------
@@ -231,7 +225,6 @@ def _cmd_enumerate(args) -> int:
         raise SetlabError(str(exc)) from None
     stats = enumerator.enumerate_universes(spec)
     doc = {
-        "command": "enumerate",
         "size": args.size,
         "filter": args.filter,
         "dedupe": args.dedupe,
@@ -249,17 +242,10 @@ def _cmd_enumerate(args) -> int:
         lines.append(f"witness {i}:")
         for line in witness.splitlines():
             lines.append(f"  {line}")
-    _emit(args, doc, lines)
-    return 0
+    return _emit(args, doc, lines)
 
 
 # -- interp -------------------------------------------------------------------
-
-
-def _demo_model(args) -> interp.BaseModel:
-    if args.model is not None:
-        return interp.parse_model(_read_text(args.model))
-    return interp.default_demo_model()
 
 
 def _cmd_interp(args) -> int:
@@ -269,14 +255,14 @@ def _cmd_interp(args) -> int:
         if args.model is not None:
             raise SetlabError("--model does not apply to the quine demo")
         return _demo_quine(args)
-    if args.demo == "forster":
-        model = (
-            interp.forster_demo_model()
-            if args.model is None
-            else _demo_model(args)
-        )
-        return _demo_forster(args, model)
-    return _demo_upperchain(args, _demo_model(args))
+    if args.model is not None:
+        model = interp.parse_model(_read_text(args.model))
+    elif args.demo == "forster":
+        model = interp.forster_demo_model()
+    else:
+        model = interp.default_demo_model()
+    demo = _demo_forster if args.demo == "forster" else _demo_upperchain
+    return demo(args, model)
 
 
 def _demo_quine(args) -> int:
@@ -288,27 +274,23 @@ def _demo_quine(args) -> int:
         ("not self-membered(e)", not u.self_membered("e")),
     ]
     ok = all(result for _, result in checks)
+    universe = dsl.print_universe(u).splitlines()
     doc = {
-        "command": "interp",
         "demo": "quine",
-        "universe": dsl.print_universe(u).splitlines(),
+        "universe": universe,
         "checks": [{"check": name, "pass": result} for name, result in checks],
         "ok": ok,
     }
-    lines = ["demo: quine"]
-    for line in dsl.print_universe(u).splitlines():
-        lines.append(f"  {line}")
+    lines = ["demo: quine"] + [f"  {line}" for line in universe]
     for name, result in checks:
         lines.append(f"check {name}: {'pass' if result else 'FAIL'}")
     lines.append(f"result: {'ok' if ok else 'FAIL'}")
-    _emit(args, doc, lines)
-    return 0 if ok else 1
+    return _emit(args, doc, lines, ok)
 
 
 def _demo_forster(args, model: interp.BaseModel) -> int:
     report = interp.verify_forster_counterexample(model)
     doc = {
-        "command": "interp",
         "demo": "forster",
         "entities": len(model.entities),
         "universal": report.universal,
@@ -331,8 +313,7 @@ def _demo_forster(args, model: interp.BaseModel) -> int:
         lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
     lines.append(f"note: {report.note}")
     lines.append(f"result: {'ok' if report.passed else 'FAIL'}")
-    _emit(args, doc, lines)
-    return 0 if report.passed else 1
+    return _emit(args, doc, lines, report.passed)
 
 
 def _demo_upperchain(args, model: interp.BaseModel) -> int:
@@ -356,7 +337,6 @@ def _demo_upperchain(args, model: interp.BaseModel) -> int:
         for row in rows
     )
     doc = {
-        "command": "interp",
         "demo": "upperchain",
         "k": args.k,
         "universal": universal,
@@ -370,13 +350,12 @@ def _demo_upperchain(args, model: interp.BaseModel) -> int:
     ]
     for row in rows:
         lines.append(
-            f"step {row['entity']}: upper={'yes' if row['upper'] else 'no'} "
-            f"member-of-previous={'yes' if row['member_of_previous'] else 'no'} "
-            f"distinct={'yes' if row['distinct_from_previous'] else 'no'}"
+            f"step {row['entity']}: upper={_flag(row['upper'])} "
+            f"member-of-previous={_flag(row['member_of_previous'])} "
+            f"distinct={_flag(row['distinct_from_previous'])}"
         )
     lines.append(f"result: {'ok' if ok else 'FAIL'}")
-    _emit(args, doc, lines)
-    return 0 if ok else 1
+    return _emit(args, doc, lines, ok)
 
 
 # -- parser -------------------------------------------------------------------
@@ -396,9 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser(
-        "check", parents=[common], help="check axiom satisfaction of a universe"
-    )
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p_check = command("check", _cmd_check, "check axiom satisfaction of a universe")
     p_check.add_argument("file", help="universe file")
     p_check.add_argument(
         "--require",
@@ -406,23 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exit 1 unless the universe satisfies the given axiom(s)",
     )
-    p_check.set_defaults(func=_cmd_check)
 
-    p_classify = sub.add_parser(
-        "classify", parents=[common], help="classify every element of a universe"
+    p_classify = command(
+        "classify", _cmd_classify, "classify every element of a universe"
     )
     p_classify.add_argument("file", help="universe file")
-    p_classify.set_defaults(func=_cmd_classify)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run the lemma suite over a universe"
-    )
+    p_verify = command("verify", _cmd_verify, "run the lemma suite over a universe")
     p_verify.add_argument("file", help="universe file")
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_chains = sub.add_parser(
-        "chains", parents=[common], help="trace a successor or predecessor chain"
-    )
+    p_chains = command("chains", _cmd_chains, "trace a successor or predecessor chain")
     p_chains.add_argument("file", help="universe file")
     p_chains.add_argument("--from", dest="start", required=True, help="start element")
     p_chains.add_argument(
@@ -431,11 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chains.add_argument(
         "--cap", type=int, default=32, help="maximum chain length (default: 32)"
     )
-    p_chains.set_defaults(func=_cmd_chains)
 
-    p_enum = sub.add_parser(
-        "enumerate", parents=[common], help="enumerate all universes of a size"
-    )
+    p_enum = command("enumerate", _cmd_enumerate, "enumerate all universes of a size")
     p_enum.add_argument("--size", type=int, required=True, help="element count")
     p_enum.add_argument(
         "--filter",
@@ -447,11 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="count one representative per isomorphism class",
     )
-    p_enum.set_defaults(func=_cmd_enumerate)
 
-    p_interp = sub.add_parser(
-        "interp", parents=[common], help="run an interpreted-membership demo"
-    )
+    p_interp = command("interp", _cmd_interp, "run an interpreted-membership demo")
     p_interp.add_argument(
         "--demo",
         choices=("forster", "quine", "upperchain"),
@@ -466,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="model file to use instead of the built-in demo model",
     )
-    p_interp.set_defaults(func=_cmd_interp)
 
     return parser
 

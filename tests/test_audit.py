@@ -107,6 +107,14 @@ class TestLemmaSuite:
         report = verify_lemma_suite(QUINE)
         assert any("element level" in note for note in report.notes)
 
+    def test_violated_verdict_needs_a_witness(self):
+        with pytest.raises(ValueError):
+            Verdict(VIOLATED)
+
+    def test_unknown_tag_has_no_verdict(self):
+        with pytest.raises(KeyError):
+            verify_lemma_suite(QUINE).verdict("nope")
+
 
 # Per-lemma statuses over every universe of n <= 3 elements: each key is one
 # letter per tag of LEMMA_TAGS (H holds, V vacuous), each value the number of

@@ -104,6 +104,35 @@ class TestVerify:
         assert len(doc["lemmas"]) == 13
         assert doc["ok"] is True
 
+    @pytest.fixture
+    def violated(self, monkeypatch):
+        real = audit.verify_lemma_suite
+
+        def with_a_violated(u):
+            report = real(u)
+            per_lemma = tuple(
+                (tag, audit.Verdict(audit.VIOLATED, ("q", "e")) if tag == "A" else v)
+                for tag, v in report.per_lemma
+            )
+            return audit.LemmaReport(per_lemma, report.notes)
+
+        monkeypatch.setattr(audit, "verify_lemma_suite", with_a_violated)
+
+    def test_violation_text_names_the_witness(self, capsys, quine_file, violated):
+        code, out, _ = run(capsys, "verify", quine_file)
+        assert code == 1
+        assert "A: violated (witness: q, e)" in out
+        assert "result: VIOLATED" in out
+
+    def test_violation_json(self, capsys, quine_file, violated):
+        code, out, _ = run(capsys, "verify", quine_file, "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["command"] == "verify"
+        assert doc["ok"] is False
+        (a,) = [lemma for lemma in doc["lemmas"] if lemma["tag"] == "A"]
+        assert a["witness"] == ["q", "e"]
+
 
 class TestChains:
     def test_ascending_cycle(self, capsys, quine_file):
@@ -162,6 +191,12 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--size", "3")
         assert code == 2
         assert "exceeds" in err
+
+    def test_env_cap_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("SETLAB_MAX_N", "abc")
+        code, _, err = run(capsys, "enumerate", "--size", "1")
+        assert code == 2
+        assert err == "error: SETLAB_MAX_N must be an integer, got 'abc'\n"
 
     def test_env_cap_can_extend(self, capsys, monkeypatch):
         monkeypatch.setenv("SETLAB_MAX_N", "1")

@@ -140,6 +140,10 @@ class TestMemberInterp:
 
 
 class TestBaseModel:
+    def test_pool_names_must_be_distinct(self):
+        with pytest.raises(DuplicateDefinitionError):
+            BaseModel.build(hf_universe(1), ("u", "u"))
+
     def test_pool_must_be_disjoint_from_base(self):
         with pytest.raises(DuplicateDefinitionError):
             BaseModel.build(hf_universe(1), ("h0",))
@@ -162,6 +166,10 @@ class TestBaseModel:
                     (complement_index({"ur1"}), "ur0"),
                 ),
             )
+
+    def test_tag_bearer_must_be_in_the_pool(self):
+        with pytest.raises(UnknownElementError):
+            small_model(tagging={universal_index(): "ghost"})
 
     def test_tag_may_only_reference_model_entities(self):
         with pytest.raises(UnknownElementError):
@@ -246,6 +254,21 @@ class TestForsterReport:
         assert not report.passed
         assert report.checks == ()
 
+    def test_skips_tags_that_cannot_be_the_pair(self):
+        # The first tag lists a base element, the second its own bearer.
+        model = BaseModel.build(
+            hf_universe(1),
+            ("ur0", "ur1", "ur2"),
+            {
+                universal_index(): "ur0",
+                complement_index({"h0"}): "ur1",
+                complement_index({"ur2"}): "ur2",
+            },
+        )
+        report = verify_forster_counterexample(model)
+        assert not report.precondition_met
+        assert report.note == "no urelement pair carries the counterexample tagging"
+
     def test_model_without_universal_raises(self):
         with pytest.raises(PreconditionError):
             verify_forster_counterexample(small_model())
@@ -297,6 +320,21 @@ class TestUpperChain:
     def test_requires_a_universal(self):
         with pytest.raises(PreconditionError):
             upper_chain_interp(small_model(), 1)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError):
+            upper_chain_interp(default_demo_model(), 0)
+
+    def test_step_index_already_tagged(self):
+        model = small_model(
+            tagging={universal_index(): "ur0", complement_index({"ur0"}): "ur1"}
+        )
+        with pytest.raises(CollisionError):
+            upper_chain_interp(model, 1)
+
+    def test_demo_pool_must_be_nonempty(self):
+        with pytest.raises(ValueError):
+            default_demo_model(pool_size=0)
 
 
 class TestXorAgainstSprig:

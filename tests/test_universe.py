@@ -32,6 +32,14 @@ class TestConstruction:
         with pytest.raises(DuplicateDefinitionError):
             Universe(("a", "a"), (0, 0))
 
+    def test_one_mask_per_element(self):
+        with pytest.raises(ValueError):
+            Universe(("a", "b"), (0,))
+
+    def test_multiple_needs_two_ids(self):
+        with pytest.raises(ValueError):
+            Multiple(("a",))
+
     def test_mask_must_stay_inside_universe(self):
         with pytest.raises(UnknownElementError):
             Universe(("a",), (2,))
