@@ -249,7 +249,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_interp(args) -> int:
-    if args.k < 1:
+    if args.demo == "upperchain" and args.k < 1:
         raise SetlabError("--k must be at least 1")
     if args.demo == "quine":
         if args.model is not None:

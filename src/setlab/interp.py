@@ -19,9 +19,10 @@ With two levels the only odd size is 1, so membership is the XOR of the two
 slot tests: complement XOR listed.  A urelement tagged ({0rep}, {})
 therefore contains everything, including itself: a universal set.  Tagging
 at most one urelement per index keeps the index-to-urelement map a partial
-bijection.  Each model builds the interpreted relation once, as bitmask rows
-(``BaseModel.world``); membership queries read it, and ``sprig`` stays the
-definition tests compare it with.
+bijection; BaseModel is the one place that enforces it, and every retag
+builds a new model that rejects a collision.  Each model builds the
+interpreted relation once, as bitmask rows (``BaseModel.world``); membership
+queries read it, and ``sprig`` stays the definition tests compare it with.
 
 retag_counterexample_pair rewires that bijection so that two urelements N
 and M cut each other out: N contains everything but M, and M contains
@@ -277,40 +278,24 @@ def retag_counterexample_pair(
     With n = (complement of {M}) and m = (complement of {M, N}), the new
     tagging maps n to N and m to M (if it does not already).  To stay
     bijective, whatever index previously bore N takes over n's previous
-    bearer, and likewise for M and m.  Raises CollisionError when that
-    fixup cannot restore bijectivity.
+    bearer, and likewise for M and m.  The new model raises CollisionError
+    when that fixup leaves a urelement with two tags.
     """
     if M == N:
         raise ValueError("the two urelements must be distinct")
     for name in (M, N):
         if not model.is_urelement(name):
             raise UnknownElementError(f"{name!r} is not in the urelement pool")
-    n_index = complement_index({M})
-    m_index = complement_index({M, N})
-
+    pair = {complement_index({M}): N, complement_index({M, N}): M}
     tagging = dict(model._bearer_by_index)
-    n_bearer_old = tagging.get(n_index)
-    m_bearer_old = tagging.get(m_index)
-    n_home_old = model.tag_of(N)
-    m_home_old = model.tag_of(M)
-
-    for index in (n_index, m_index, n_home_old, m_home_old):
-        if index is not None:
-            tagging.pop(index, None)
-    tagging[n_index] = N
-    tagging[m_index] = M
-    if n_home_old is not None and n_home_old not in (n_index, m_index):
-        if n_bearer_old is not None:
-            tagging[n_home_old] = n_bearer_old
-    if m_home_old is not None and m_home_old not in (n_index, m_index):
-        if m_bearer_old is not None:
-            tagging[m_home_old] = m_bearer_old
-
-    bearers = list(tagging.values())
-    if len(set(bearers)) != len(bearers):
-        raise CollisionError(
-            "retagging could not keep the index-to-urelement map bijective"
-        )
+    homes = [model.tag_of(bearer) for bearer in pair.values()]
+    displaced = [tagging.pop(index, None) for index in pair]
+    for home in homes:
+        tagging.pop(home, None)
+    tagging.update(pair)
+    for home, bearer in zip(homes, displaced):
+        if home is not None and home not in pair and bearer is not None:
+            tagging[home] = bearer
     return model.retag(tagging)
 
 
@@ -346,16 +331,11 @@ def _find_counterexample_pair(model: BaseModel):
     and complement-of-{M, N} tagged to M.  Deterministic first match in
     bearer order."""
     for index, bearer in model.tags:
-        if not index.complement or len(index.listed) != 1:
-            continue
-        (candidate_m,) = index.listed
-        if not model.is_urelement(candidate_m):
-            continue
-        candidate_n = bearer
-        if candidate_n == candidate_m:
-            continue
-        if model.bearer_of(complement_index({candidate_m, candidate_n})) == candidate_m:
-            return candidate_m, candidate_n
+        if index.complement and len(index.listed) == 1:
+            (m,) = index.listed
+            # m != n keeps a tag complement{n} on n from matching itself.
+            if m != bearer and model.bearer_of(complement_index({m, bearer})) == m:
+                return m, bearer
     return None
 
 
@@ -425,20 +405,14 @@ def upper_chain_interp(model: BaseModel, k: int) -> UpperChainResult:
         )
     tagging = dict(model._bearer_by_index)
     removed = [universal]
-    nodes = []
-    for i in range(k):
+    for i, bearer in enumerate(fresh[:k]):
         index = complement_index(removed)
+        # A dict write would silently untag the index's old bearer.
         if index in tagging:
             raise CollisionError(f"index for chain step {i} is already tagged")
-        bearer = fresh[i]
         tagging[index] = bearer
-        nodes.append(bearer)
         removed.append(bearer)
-    chain = Chain(
-        direction=DESCENDING,
-        nodes=tuple(nodes),
-        terminated_by=LENGTH_CAP,
-    )
+    chain = Chain(DESCENDING, tuple(removed[1:]), LENGTH_CAP)
     return UpperChainResult(model=model.retag(tagging), chain=chain)
 
 
@@ -447,13 +421,13 @@ def quine_universe() -> Universe:
     return Universe.from_extensions({"e": (), "q": ("q",)})
 
 
-def default_demo_model(rank: int = 2, pool_size: int = 8) -> BaseModel:
-    """Base world of hereditarily finite sets plus a urelement pool, with
-    the first urelement tagged as the universal set."""
+def default_demo_model(pool_size: int = 8) -> BaseModel:
+    """Base world of the four hereditarily finite sets of rank below 2 plus a
+    urelement pool, with the first urelement tagged as the universal set."""
     if pool_size < 1:
         raise ValueError("pool_size must be at least 1")
     pool = tuple(f"ur{i}" for i in range(pool_size))
-    return BaseModel.build(hf_universe(rank), pool, {universal_index(): pool[0]})
+    return BaseModel.build(hf_universe(2), pool, {universal_index(): pool[0]})
 
 
 def forster_demo_model() -> BaseModel:

@@ -23,6 +23,7 @@ from setlab import (
     VIOLATED,
     Absent,
     EnumSpec,
+    LemmaViolationError,
     Unique,
     Universe,
     UnknownElementError,
@@ -356,6 +357,21 @@ class TestTraceChain:
     def test_direction_must_be_known(self):
         with pytest.raises(ValueError):
             trace_chain(QUINE, "q", "sideways", 4)
+
+    @pytest.mark.parametrize("direction", [ASCENDING, DESCENDING])
+    def test_a_planted_step_out_of_the_class_breaks_a_theorem(self, direction):
+        # h0 -> h1 -> h3 ascends through lowers of the hf world and, in its
+        # complement, descends through uppers.  A record that drops h1 from
+        # that class makes the guarded first step fail.
+        u = hf_universe(3)
+        if direction == DESCENDING:
+            u = Universe(u.names, tuple(u.all_mask & ~mask for mask in u.masks))
+        kind = "lower_mask" if direction == ASCENDING else "upper_mask"
+        u.__dict__["facts"] = u.facts._replace(
+            **{kind: getattr(u.facts, kind) & ~u.bit("h1")}
+        )
+        with pytest.raises(LemmaViolationError, match="'h0' -> 'h1'"):
+            trace_chain(u, "h0", direction, 16)
 
     def test_ascending_from_a_lower_grows_extensions(self):
         u = hf_universe(4)

@@ -264,6 +264,12 @@ class TestInterp:
         assert code == 2
         assert "does not apply" in err
 
+    @pytest.mark.parametrize("demo", ["forster", "quine"])
+    def test_k_applies_only_to_upperchain(self, capsys, demo):
+        code, out, err = run(capsys, "interp", "--demo", demo, "--k", "0")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "interp", "--demo", demo)[1]
+
 
 class TestErrors:
     def test_parse_error_exits_two(self, capsys, tmp_path):

@@ -13,6 +13,7 @@ from setlab import (
     LENGTH_CAP,
     SUCCESSOR,
     BaseModel,
+    CollisionError,
     Unique,
     Universe,
     UntaggedUrelementWarning,
@@ -20,6 +21,8 @@ from setlab import (
     check_axiom,
     complement_index,
     comprehension_witness,
+    find_universal,
+    hf_universe,
     is_lower,
     is_strictly_russellian,
     is_upper,
@@ -28,9 +31,11 @@ from setlab import (
     member_interp,
     parse_universe,
     print_universe,
+    retag_counterexample_pair,
     russell_witness,
     sprig,
     trace_chain,
+    verify_forster_counterexample,
     verify_lemma_suite,
 )
 
@@ -254,3 +259,43 @@ def test_materialized_membership_matches_the_base_and_the_sprig(model):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UntaggedUrelementWarning)
                 assert member_interp(model, x, u) == expected
+
+
+@st.composite
+def retag_cases(draw):
+    """Two distinct urelements M and N of a model over an hf base of rank
+    0-2 and a pool of 2-5 urelements, with complement or listing tags; half
+    of the tags list a subset of {M, N}, so the universal and pair indexes
+    are often already taken."""
+    base = hf_universe(draw(st.integers(min_value=0, max_value=2)))
+    pool = tuple(f"ur{i}" for i in range(draw(st.integers(min_value=2, max_value=5))))
+    M, N = draw(st.permutations(pool))[:2]
+    listed_sets = st.one_of(
+        st.sets(st.sampled_from(base.names + pool)),
+        st.sets(st.sampled_from((M, N))),
+    )
+    tagging = {}
+    for bearer in pool:
+        if draw(st.booleans()):
+            make = complement_index if draw(st.booleans()) else listing_index
+            tagging.setdefault(make(draw(listed_sets)), bearer)
+    return BaseModel.build(base, pool, tagging), M, N
+
+
+@settings(max_examples=300)
+@given(retag_cases())
+def test_retag_places_the_pair_and_moves_only_the_displaced(case):
+    before, M, N = case
+    try:
+        after = retag_counterexample_pair(before, M, N)
+    except CollisionError:
+        return
+    n_index, m_index = complement_index({M}), complement_index({M, N})
+    assert after.bearer_of(n_index) == N
+    assert after.bearer_of(m_index) == M
+    moved = {n_index, m_index, before.tag_of(N), before.tag_of(M)}
+    for index in {index for index, _ in before.tags + after.tags} - moved:
+        assert after.bearer_of(index) == before.bearer_of(index)
+    assert retag_counterexample_pair(after, M, N).tags == after.tags
+    if find_universal(after) is not None:
+        assert verify_forster_counterexample(after).passed
