@@ -3,7 +3,9 @@
 The two axioms under audit assert that every element has a unique successor
 (extension plus itself) and a unique predecessor (extension minus itself).
 Finite universes usually violate them, so the audit reports a per-element
-lookup outcome rather than a bare boolean.
+lookup outcome rather than a bare boolean.  The verdict is read off the
+universe's index tables; the per-element results are built only when a
+report's ``per_element`` is first read.
 
 The lemma suite evaluates, by exhaustive sweep, every statement that is a
 theorem of the definitions.  Conditional statements about an element's
@@ -71,8 +73,15 @@ MAIN_RESULT_NOTE = (
 @dataclass(frozen=True)
 class AxiomReport:
     axiom: str
-    per_element: tuple[tuple[ElementId, LookupResult], ...]
+    universe: Universe
     satisfied: bool
+
+    @functools.cached_property
+    def per_element(self) -> tuple[tuple[ElementId, LookupResult], ...]:
+        """Each element with its lookup result, in canonical order."""
+        u = self.universe
+        lookup = u.successor_in if self.axiom == SUCCESSOR else u.predecessor_in
+        return tuple([(x, lookup(x)) for x in u.names])
 
 
 @dataclass(frozen=True)
@@ -127,13 +136,10 @@ def check_axiom(u: Universe, which: str) -> AxiomReport:
     satisfied is true iff the lookup is Unique at every element; the empty
     universe satisfies both axioms vacuously.
     """
-    if which == SUCCESSOR:
-        found, results = u.facts.successor, u.facts.successor_result
-    elif which == PREDECESSOR:
-        found, results = u.facts.predecessor, u.facts.predecessor_result
-    else:
+    if which not in (SUCCESSOR, PREDECESSOR):
         raise ValueError(f"unknown axiom {which!r}")
-    return AxiomReport(which, tuple(zip(u.names, results)), None not in found)
+    table = u.facts.successor if which == SUCCESSOR else u.facts.predecessor
+    return AxiomReport(which, u, None not in table)
 
 
 _HOLDS = Verdict(HOLDS)
@@ -261,10 +267,9 @@ def trace_chain(u: Universe, start: ElementId, direction: str, cap: int) -> Chai
     current = u.index(start)
     facts = u.facts
     if direction == ASCENDING:
-        steps, results, kind = facts.successor, facts.successor_result, facts.lower_mask
+        steps, lookup, kind = facts.successor, u.successor_in, facts.lower_mask
     elif direction == DESCENDING:
-        steps, results = facts.predecessor, facts.predecessor_result
-        kind = facts.upper_mask
+        steps, lookup, kind = facts.predecessor, u.predecessor_in, facts.upper_mask
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
@@ -277,7 +282,7 @@ def trace_chain(u: Universe, start: ElementId, direction: str, cap: int) -> Chai
             return Chain(direction, tuple(nodes), LENGTH_CAP)
         nxt = steps[current]
         if nxt is None:
-            reason = ABSENT if isinstance(results[current], Absent) else MULTIPLE
+            reason = ABSENT if isinstance(lookup(names[current]), Absent) else MULTIPLE
             return Chain(direction, tuple(nodes), reason)
         if guarded:
             # Ascending, current must be a member of nxt; descending, the reverse.

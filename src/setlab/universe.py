@@ -13,15 +13,16 @@ iteration, which keeps every derived report byte-reproducible.  What the
 classifier, the audit and the enumerator's filters derive from a universe
 (self-membered, lower and upper masks, the Russell set, successor and
 predecessor tables) is computed once per universe and cached in
-``Universe.facts``.  Its Unique lookup results come from one shared table
-per element-name tuple.  ``hf_universe`` builds the hereditarily finite
-worlds.
+``Universe.facts``, which holds index tables only.  The name-level lookup
+results (``successor_in``, ``predecessor_in``) are built from it when first
+asked for, one per group of coextensive elements.  ``hf_universe`` builds
+the hereditarily finite worlds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CapExceededError, DuplicateDefinitionError, UnknownElementError
@@ -54,28 +55,18 @@ class Multiple:
 
 LookupResult = Unique | Absent | Multiple
 
-_ABSENT = Absent()
-
-# Sweeps revisit the same element names, so the Unique results naming them
-# are interned in a bounded table, one tuple per names tuple.
-_UNIQUE_TABLES = 16
-
-
-@lru_cache(maxsize=_UNIQUE_TABLES)
-def _uniques(names: tuple[ElementId, ...]) -> tuple[Unique, ...]:
-    """The Unique result naming each element of names."""
-    return tuple(map(Unique, names))
-
 
 class Facts(NamedTuple):
-    """What the classifier and the audit derive from one universe.
+    """What the classifier and the audit derive from one universe, as
+    index tables.
 
     ``successor[i]`` is the index of the unique element whose extension is
     extension(i) plus i, or None when that lookup is Absent or Multiple;
-    ``successor_result[i]`` is the lookup's result.  ``predecessor`` and
-    ``predecessor_result`` likewise for extension(i) minus i.
-    ``russell_mask`` has a bit per element whose members are exactly the
-    non-self-membered elements; it is expected to be 0 in every universe.
+    ``predecessor`` likewise for extension(i) minus i.  ``carriers`` maps
+    each extension mask to the indices of the elements that have it, in
+    canonical order.  ``russell_mask`` has a bit per element whose members
+    are exactly the non-self-membered elements; it is expected to be 0 in
+    every universe.
     """
 
     self_mask: int
@@ -84,9 +75,8 @@ class Facts(NamedTuple):
     upper_mask: int
     russell_mask: int
     successor: tuple[int | None, ...]
-    successor_result: tuple[LookupResult, ...]
     predecessor: tuple[int | None, ...]
-    predecessor_result: tuple[LookupResult, ...]
+    carriers: dict[int, list[int]]
 
 
 @dataclass(frozen=True)
@@ -148,37 +138,28 @@ class Universe:
         """The derived facts, computed on first use and then cached.  The
         computation is idempotent, so threads racing on it store equal
         records."""
-        names, masks = self.names, self.masks
-        if not masks:
-            return Facts(0, 0, 0, 0, 0, (), (), (), ())
-        by_mask: dict[int, list[int]] = {}
+        carriers: dict[int, list[int]] = {}
         self_bits = 0
-        for i, mask in enumerate(masks):
-            by_mask.setdefault(mask, []).append(i)
+        for i, mask in enumerate(self.masks):
+            carriers.setdefault(mask, []).append(i)
             self_bits |= mask & 1 << i
         nonself = self.all_mask & ~self_bits
-        uniques = _uniques(names)
-        # Target mask -> (index of its unique carrier or None, lookup result).
-        found = {
-            mask: (at[0], uniques[at[0]])
-            if len(at) == 1
-            else (None, Multiple(tuple([names[j] for j in at])))
-            for mask, at in by_mask.items()
-        }
-        absent = (None, _ABSENT)
+        # Target mask -> index of its unique carrier.
+        unique = {mask: at[0] for mask, at in carriers.items() if len(at) == 1}
         lower = upper = 0
         succ, pred = [], []
-        for i, mask in enumerate(masks):
+        for i, mask in enumerate(self.masks):
             bit = 1 << i
             if not mask & self_bits:
                 lower |= bit
             if not nonself & ~mask:
                 upper |= bit
-            succ.append(found.get(mask | bit, absent))
-            pred.append(found.get(mask & ~bit, absent))
-        russell = sum([1 << i for i in by_mask.get(nonself, ())])
+            succ.append(unique.get(mask | bit))
+            pred.append(unique.get(mask & ~bit))
+        russell = sum([1 << i for i in carriers.get(nonself, ())])
         return Facts(
-            self_bits, nonself, lower, upper, russell, *zip(*succ), *zip(*pred)
+            self_bits, nonself, lower, upper, russell, tuple(succ), tuple(pred),
+            carriers,
         )
 
     def __len__(self) -> int:
@@ -238,19 +219,33 @@ class Universe:
         Unique(y) iff exactly one such y exists (y = x is possible when x is
         self-membered); Absent or Multiple otherwise.
         """
-        return self.facts.successor_result[self.index(x)]
+        i = self.index(x)
+        return self._lookup(self.masks[i] | 1 << i)
 
     def predecessor_in(self, x: ElementId) -> LookupResult:
         """Search for an element whose extension is extension(x) minus x."""
-        return self.facts.predecessor_result[self.index(x)]
+        i = self.index(x)
+        return self._lookup(self.masks[i] & ~(1 << i))
 
-    def sym_diff_singleton(self, x: ElementId) -> frozenset[ElementId]:
-        """extension(x) symmetric-difference {x}.
+    @cached_property
+    def _results(self) -> dict[int, LookupResult]:
+        return {}
 
-        Equals the successor target when x is not self-membered and the
-        predecessor target when it is.
-        """
-        return frozenset(self.ids(self.members_mask(x) ^ self.bit(x)))
+    def _lookup(self, target: int) -> LookupResult:
+        """The elements whose extension mask is target.  Results are kept by
+        first carrier, so coextensive elements share one: a Multiple can
+        name hundreds of elements, and each of them looks it up."""
+        at = self.facts.carriers.get(target)
+        if not at:
+            return Absent()
+        found = self._results.get(at[0])
+        if found is None:
+            if len(at) == 1:
+                found = Unique(self.names[at[0]])
+            else:
+                found = Multiple(tuple(map(self.names.__getitem__, at)))
+            self._results[at[0]] = found
+        return found
 
 
 # Element counts of the hereditarily finite worlds by rank: rank 0 is the

@@ -51,10 +51,6 @@ def predecessors(d, x):
     return sorted(y for y in d if set(d[y]) == target)
 
 
-def sym_diff_singleton(d, x):
-    return set(d[x]) ^ {x}
-
-
 def russell_candidates(d):
     """Elements whose members are exactly the non-self-membered elements."""
     target = {z for z in d if z not in d[z]}

@@ -37,7 +37,6 @@ from setlab import (
 )
 from setlab.audit import _clean_report
 from setlab.classifier import _classifications
-from setlab.universe import _uniques
 
 
 def universe(**extensions):
@@ -231,7 +230,6 @@ class TestSharedReports:
         assert verify_lemma_suite(relabelled) is report
         twin = Universe(tuple(list(names)), tuple(list(u.masks)))
         assert classify_all(twin) is classify_all(u)
-        assert twin.successor_in("e0") is u.successor_in("e0")
 
     def test_a_planted_violation_is_never_served_a_shared_report(self):
         extensions = dict(a=(), b=("a",), t=("a", "b", "t", "w"), w=("a", "b", "t", "w"))
@@ -280,7 +278,7 @@ class TestSharedReports:
         names = tuple(f"x{i}" for i in range(6))
         for _ in range(2000):
             visit(Universe(names, tuple(rng.getrandbits(6) for _ in range(6))))
-        for table in (_clean_report, _classifications, _uniques):
+        for table in (_clean_report, _classifications):
             info = table.cache_info()
             assert info.maxsize is not None and info.currsize > 0
 
@@ -292,7 +290,7 @@ class TestSharedReports:
             repr((verify_lemma_suite(u), classify_all(u)))
             for u in map(to_universe, all_membership_dicts(3))
         ]
-        for table in (_clean_report, _classifications, _uniques):
+        for table in (_clean_report, _classifications):
             table.cache_clear()
         results = [None] * 4
 
@@ -313,6 +311,95 @@ class TestSharedReports:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * 4
+
+
+def points(table, i, j):
+    """A lie about a universe's facts: entry i of table is j."""
+    return lambda f: {table: getattr(f, table)[:i] + (j,) + getattr(f, table)[i + 1 :]}
+
+
+def flips(mask, i):
+    """A lie about a universe's facts: bit i of mask is flipped."""
+    return lambda f: {mask: getattr(f, mask) ^ 1 << i}
+
+
+def hf3():
+    # Every element is a lower; h0 -> h1 -> h3 ascends by successors.
+    return hf_universe(3)
+
+
+def co_hf3():
+    # Every element is a self-membered upper; h0 -> h1 -> h3 descends by
+    # predecessors, and every successor is the element itself.
+    u = hf_universe(3)
+    return Universe(u.names, tuple(u.all_mask & ~mask for mask in u.masks))
+
+
+def quine_alone():
+    return Universe(("q",), (1,))
+
+
+class TestPlantedFacts:
+    """Each failure check fires: one lying entry in a universe's facts makes
+    its statement violated, with the lie's element and its table entry as
+    the witness."""
+
+    @pytest.mark.parametrize(
+        "tag, build, lie, witness",
+        [
+            pytest.param("A", hf3, points("successor", 0, 0), ("h0", "h0"), id="A"),
+            pytest.param("B", hf3, flips("lower_mask", 1), ("h0", "h1"), id="B"),
+            pytest.param(
+                "C2", co_hf3, points("predecessor", 0, 0), ("h0", "h0"), id="C2"
+            ),
+            pytest.param("D", co_hf3, flips("upper_mask", 1), ("h0", "h1"), id="D"),
+            pytest.param(
+                "E", co_hf3, points("predecessor", 1, 0), ("h1", "h0"), id="E"
+            ),
+            pytest.param(
+                "C-stoppage", hf3, points("predecessor", 1, 0), ("h1", "h0"),
+                id="C-stoppage-from-a-lower",
+            ),
+            pytest.param(
+                "C-stoppage", co_hf3, points("successor", 0, 1), ("h0", "h1"),
+                id="C-stoppage-from-an-upper",
+            ),
+            # The ascending step part, one failed conclusion at a time.
+            pytest.param(
+                "main-result", quine_alone, flips("lower_mask", 0), ("q", "q"),
+                id="main-result-ascends-to-itself",
+            ),
+            pytest.param(
+                "main-result", hf3, points("successor", 0, 2), ("h0", "h2"),
+                id="main-result-ascends-to-a-non-container",
+            ),
+            pytest.param(
+                "main-result", hf3, flips("lower_mask", 1), ("h0", "h1"),
+                id="main-result-ascends-to-a-non-lower",
+            ),
+            # The descending step part, likewise.
+            pytest.param(
+                "main-result", co_hf3, points("predecessor", 0, 0), ("h0", "h0"),
+                id="main-result-descends-to-itself",
+            ),
+            pytest.param(
+                "main-result", co_hf3, points("predecessor", 1, 0), ("h1", "h0"),
+                id="main-result-descends-to-a-non-member",
+            ),
+            pytest.param(
+                "main-result", co_hf3, flips("upper_mask", 1), ("h0", "h1"),
+                id="main-result-descends-to-a-non-upper",
+            ),
+            pytest.param(
+                "restated", hf3, flips("russell_mask", 0), ("h0",), id="restated"
+            ),
+        ],
+    )
+    def test_a_lying_entry_violates_its_statement(self, tag, build, lie, witness):
+        assert verify_lemma_suite(build()).ok
+        u = build()
+        u.__dict__["facts"] = u.facts._replace(**lie(u.facts))
+        assert verify_lemma_suite(u).verdict(tag) == Verdict(VIOLATED, witness)
 
 
 class TestTraceChain:

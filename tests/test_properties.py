@@ -77,22 +77,12 @@ def test_degeneracy(u):
 
 
 @given(universes())
-def test_sym_diff_singleton_matches_the_lookup_targets(u):
-    for x in u.names:
-        diff = u.sym_diff_singleton(x)
-        if u.self_membered(x):
-            assert diff == u.extension(x) - {x}
-        else:
-            assert diff == u.extension(x) | {x}
-
-
-@given(universes())
 def test_degenerate_lookups_stay_coextensive(u):
     for x in u.names:
         if not u.self_membered(x):
             succ = u.successor_in(x)
             if isinstance(succ, Unique) and is_lower(u, x):
-                assert u.extension(succ.id) == u.sym_diff_singleton(x)
+                assert u.extension(succ.id) == u.extension(x) | {x}
             pred = u.predecessor_in(x)
             if isinstance(pred, Unique):
                 assert u.coextensive(pred.id, x)
