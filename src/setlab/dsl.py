@@ -16,6 +16,11 @@ The two slots spell a tag (Index): the first may only contain the literal
 ``0rep``, which switches on the complement, and the second only entity
 names, the listed entities.  Forward references are allowed everywhere;
 every referenced name must be defined somewhere in the document.
+
+A well-formed definition line is matched whole by one regular expression.
+Every other line (urelement declarations, and any line with a syntax error)
+goes to the token parser, which is the one place that words each syntax
+error and its column.
 """
 
 from __future__ import annotations
@@ -31,7 +36,16 @@ from .errors import (
 )
 from .universe import Universe
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+# A whole well-formed definition line: group 1 is the name, group 2 the
+# member list (None for an empty set).  It skips only space and tab, as
+# _tokenize does, so it accepts exactly the definitions the token parser
+# accepts; every other line goes to the token parser.
+_DEFINITION_RE = re.compile(
+    rf"[ \t]*({_NAME})[ \t]*=[ \t]*"
+    rf"\{{((?:[ \t]*{_NAME}[ \t]*,)*[ \t]*{_NAME})?[ \t]*\}}[ \t]*"
+)
 _ZERO_REP_RE = re.compile(r"0rep(?![A-Za-z0-9_])")
 
 NAME = "name"
@@ -187,6 +201,12 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
     definitions: list[tuple[str, tuple[str, ...], int]] = []
     urelements: list[UrelementDecl] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        match = _DEFINITION_RE.fullmatch(raw)
+        if match:
+            name, body = match.groups()
+            members = tuple(_NAME_RE.findall(body)) if body else ()
+            definitions.append((name, members, lineno))
+            continue
         stripped = raw.strip()
         if not stripped:
             continue
@@ -229,6 +249,8 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
             )
         defined[name] = lineno
     for _, members, lineno in chain(definitions, declared):
+        if all(map(defined.__contains__, members)):
+            continue
         for member in members:
             if member not in defined:
                 raise UndefinedNameError(f"line {lineno}: undefined name {member!r}")

@@ -22,12 +22,29 @@ the hereditarily finite worlds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CapExceededError, DuplicateDefinitionError, UnknownElementError
 
 ElementId = str
+
+
+class _cached:
+    """Like functools.cached_property, without its lock (Python < 3.12 takes
+    one on every first access): the first access stores the value in the
+    instance's __dict__, which then shadows this non-data descriptor.  The
+    cached computations are idempotent, so a race stores equal values."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -129,15 +146,13 @@ class Universe:
 
     # -- canonical order plumbing ------------------------------------------
 
-    @cached_property
+    @_cached
     def _position(self) -> dict[ElementId, int]:
         return {name: i for i, name in enumerate(self.names)}
 
-    @cached_property
+    @_cached
     def facts(self) -> Facts:
-        """The derived facts, computed on first use and then cached.  The
-        computation is idempotent, so threads racing on it store equal
-        records."""
+        """The derived facts, computed on first use and then cached."""
         carriers: dict[int, list[int]] = {}
         self_bits = 0
         for i, mask in enumerate(self.masks):
@@ -227,7 +242,7 @@ class Universe:
         i = self.index(x)
         return self._lookup(self.masks[i] & ~(1 << i))
 
-    @cached_property
+    @_cached
     def _results(self) -> dict[int, LookupResult]:
         return {}
 

@@ -1,11 +1,18 @@
+import re
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setlab import (
     DslSyntaxError,
     DuplicateDefinitionError,
+    SetlabError,
     UndefinedNameError,
     Universe,
     canonical_form,
+    dsl,
     hf_universe,
     parse_document,
     parse_universe,
@@ -156,6 +163,90 @@ class TestModelDocuments:
             parse_document(
                 "urelement u tag ( {} , {} )\n", allow_urelements=True
             )
+
+
+_NAMES = ("a", "x1", "_", "urelement", "index")
+_PIECES = (*_NAMES, "0rep", "0", *"={}(),#", " ", "\t", "é")
+_GAPS = st.sampled_from(("", "", " ", "\t", " \t "))
+
+
+@st.composite
+def _lines(draw):
+    """A well-formed definition, as tokens, after up to two random edits
+    (insert, delete or replace a token), joined with random space and tab;
+    or a line of random pieces."""
+    piece = st.sampled_from(_PIECES)
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(piece, max_size=12)))
+    name = st.sampled_from(_NAMES)
+    members = draw(st.lists(name, max_size=4))
+    body = [token for member in members for token in (",", member)][1:]
+    tokens = [draw(name), "=", "{", *body, "}"]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        if edit == "insert":
+            tokens.insert(at, draw(piece))
+        elif at < len(tokens):
+            tokens[at : at + 1] = [] if edit == "delete" else [draw(piece)]
+    return "".join(draw(_GAPS) + token for token in tokens) + draw(_GAPS)
+
+
+def _single_edits(tokens):
+    """Every token list one insertion, deletion or replacement of a piece
+    away from tokens."""
+    for at in range(len(tokens) + 1):
+        for piece in _PIECES:
+            yield tokens[:at] + [piece] + tokens[at:]
+    for at in range(len(tokens)):
+        yield tokens[:at] + tokens[at + 1 :]
+        for piece in _PIECES:
+            yield tokens[:at] + [piece] + tokens[at + 1 :]
+
+
+def _outcome(text, allow_urelements):
+    try:
+        return parse_document(text, allow_urelements)
+    except SetlabError as err:
+        return type(err), str(err)
+
+
+def _assert_token_parser_agrees(text, allow_urelements):
+    """The outcome of text, and the outcome with the definition regex
+    switched off so that every line goes to the token parser, are equal."""
+    fast = _outcome(text, allow_urelements)
+    with mock.patch.object(dsl, "_DEFINITION_RE", re.compile("(?!)")):
+        assert _outcome(text, allow_urelements) == fast, text
+
+
+class TestDefinitionRegex:
+    """Well-formed definition lines bypass the token parser; it stays the
+    reference for what they mean and for every error."""
+
+    @settings(max_examples=500)
+    @given(st.lists(_lines(), min_size=1, max_size=3), st.booleans())
+    def test_same_outcome_as_the_token_parser(self, lines, allow_urelements):
+        _assert_token_parser_agrees("\n".join(lines), allow_urelements)
+
+    @pytest.mark.parametrize("sep", ["", " "])
+    def test_every_single_edit_of_a_definition(self, sep):
+        for tokens in _single_edits(["a", "=", "{", "x1", ",", "_", "}"]):
+            text = sep.join(tokens) + "\nx1 = {}\n_ = {}\n"
+            for allow_urelements in (False, True):
+                _assert_token_parser_agrees(text, allow_urelements)
+
+    def test_long_definition_keeps_written_order(self):
+        names = [f"m{i}" for i in reversed(range(20_000))]
+        text = f"a = {{{', '.join(names)}}}\n" + "".join(
+            f"{name} = {{}}\n" for name in names
+        )
+        assert parse_document(text).definitions[0] == ("a", tuple(names))
+
+    def test_long_unterminated_definition(self):
+        line = "a = {" + ", ".join(f"m{i}" for i in range(20_000))
+        with pytest.raises(DslSyntaxError, match="expected ',' or '}'$") as err:
+            parse_document(line)
+        assert (err.value.line, err.value.col) == (1, len(line) + 1)
 
 
 class TestPrintUniverse:
