@@ -12,9 +12,9 @@ axiom under --require.  ``main`` exits 2 for usage and parse errors, 130
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import audit, classifier, dsl, enumerator, interp
 from .errors import LemmaViolationError, SetlabError
@@ -37,7 +37,7 @@ def _lookup_json(result: LookupResult) -> dict:
     if isinstance(result, Unique):
         return {"kind": "unique", "id": result.id}
     if isinstance(result, Multiple):
-        return {"kind": "multiple", "ids": list(result.ids)}
+        return {"kind": "multiple", "ids": result.ids}
     return {"kind": "absent"}
 
 
@@ -57,9 +57,43 @@ def _load_universe(path: str) -> Universe:
     return dsl.parse_universe(_read_text(path))
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for what a report
+    holds: str, int, bool, None, and lists, tuples and str-keyed dicts of
+    them.  Anything else (a float, a set, a non-str key) raises TypeError.
+    With ``indent`` set, json takes its pure-Python encoder; this quotes
+    every string with json's C function and joins each container once.
+    ``pad`` is the newline and indentation that close the container."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_quote(v) if type(v) is str else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args, doc: dict, lines: list[str], ok: bool = True) -> int:
     if args.format == "json":
-        print(json.dumps({"command": args.command, **doc}, indent=2))
+        print(_json({"command": args.command, **doc}))
     else:
         print("\n".join(lines))
     return 0 if ok else 1
@@ -155,11 +189,11 @@ def _cmd_verify(args) -> int:
             {
                 "tag": tag,
                 "status": verdict.status,
-                "witness": list(verdict.witness),
+                "witness": verdict.witness,
             }
             for tag, verdict in report.per_lemma
         ],
-        "notes": list(report.notes),
+        "notes": report.notes,
         "ok": report.ok,
     }
     lines = [f"universe: {args.file} ({len(u)} elements)"]
@@ -191,7 +225,7 @@ def _cmd_chains(args) -> int:
         "from": args.start,
         "direction": chain.direction,
         "cap": args.cap,
-        "nodes": list(chain.nodes),
+        "nodes": chain.nodes,
         "terminated_by": chain.terminated_by,
         "repeated": chain.repeated,
     }
@@ -230,7 +264,7 @@ def _cmd_enumerate(args) -> int:
         "dedupe": args.dedupe,
         "total": stats.total,
         "matching": stats.matching,
-        "witnesses": list(stats.sample_witnesses),
+        "witnesses": stats.sample_witnesses,
     }
     lines = [
         f"size {args.size}, filter {args.filter if args.filter else 'none'}, "
@@ -340,7 +374,7 @@ def _demo_upperchain(args, model: interp.BaseModel) -> int:
         "demo": "upperchain",
         "k": args.k,
         "universal": universal,
-        "nodes": list(result.chain.nodes),
+        "nodes": result.chain.nodes,
         "steps": rows,
         "ok": ok,
     }

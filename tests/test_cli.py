@@ -6,10 +6,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import setlab
 from setlab import audit
-from setlab.cli import main
+from setlab.cli import _json, main
 from setlab.errors import LemmaViolationError
 
 QUINE = "e = {}\nq = {q}\n"
@@ -369,15 +371,14 @@ class TestErrors:
             f"invalid continuation byte (in {path})\n"
         )
 
-    def test_reader_closing_early_exits_141_silently(self, tmp_path):
-        # Far more than a pipe buffer holds, so the writer is still
-        # writing when the reader goes away.
-        path = tmp_path / "big.uni"
-        path.write_text("".join(f"e{i} = {{}}\n" for i in range(5000)))
+    @staticmethod
+    def read_one_line_then_close(*argv):
+        """Run the CLI in a child process, read one line of its stdout, close
+        the pipe, and return that line, the exit code and all of stderr."""
         src = os.path.dirname(os.path.dirname(setlab.__file__))
         script = "import sys; from setlab.cli import main; sys.exit(main())"
         proc = subprocess.Popen(
-            [sys.executable, "-c", script, "classify", str(path)],
+            [sys.executable, "-c", script, *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=dict(os.environ, PYTHONPATH=src),
@@ -386,8 +387,28 @@ class TestErrors:
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
-        code = proc.wait(timeout=60)
+        return first, proc.wait(timeout=60), err
+
+    def test_reader_closing_early_exits_141_silently(self, tmp_path):
+        # Far more than a pipe buffer holds, so the writer is still
+        # writing when the reader goes away.
+        path = tmp_path / "big.uni"
+        path.write_text("".join(f"e{i} = {{}}\n" for i in range(5000)))
+        first, code, err = self.read_one_line_then_close("classify", str(path))
         assert first == f"universe: {path} (5000 elements)\n".encode()
+        assert (code, err) == (141, b"")
+
+    def test_reader_closing_early_on_json_exits_141_silently(self, tmp_path):
+        # The JSON report is written as one string of about 1.5 MB.  A chain,
+        # not 5,000 empty sets: each of those has a 5,000-name predecessor
+        # lookup, which would make the report quadratic in size.
+        path = tmp_path / "chain.uni"
+        lines = ["e0 = {}\n"] + [f"e{i} = {{e{i - 1}}}\n" for i in range(1, 5000)]
+        path.write_text("".join(lines))
+        first, code, err = self.read_one_line_then_close(
+            "check", str(path), "--format", "json"
+        )
+        assert first == b"{\n"
         assert (code, err) == (141, b"")
 
     def test_interrupt_exits_130_without_a_traceback(self):
@@ -435,3 +456,66 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+# Every value a report can hold, with the characters json escapes: quotes,
+# backslashes, control characters and lone surrogates.
+_TEXT = st.text(st.characters(exclude_categories=()))
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | _TEXT,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(_TEXT, children),
+    max_leaves=25,
+)
+
+
+class TestJsonLayout:
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps_with_indent_two(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
+
+    def test_booleans_in_lists_stay_booleans(self):
+        value = [True, False, 1, 0, None, (), {}, [[]]]
+        assert _json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, {1: 2}, {"s"}, [1.5], {"k": {"s"}}], ids=repr
+    )
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "{file}"),
+            ("check", "{file}", "--require", "both"),
+            ("classify", "{file}"),
+            ("verify", "{file}"),
+            ("chains", "{file}", "--from", "s0", "--dir", "asc"),
+            ("chains", "{file}", "--from", "q", "--dir", "desc"),
+            ("enumerate", "--size", "2"),
+            ("interp", "--demo", "forster"),
+        ],
+        ids=" ".join,
+    )
+    def test_reports_are_json_dumps_with_indent_two(self, capsys, tmp_path, argv):
+        # 300 empty sets are coextensive, so each of their predecessor
+        # lookups is a 300-name `multiple`; the file name needs escapes.
+        path = tmp_path / 'caf\u00e9 "q" \\ .uni'
+        lines = [f"e{i} = {{}}\n" for i in range(300)]
+        lines += ["q = {q}\n", "s0 = {e0}\n", "s1 = {e0, s0}\n"]
+        path.write_text("".join(lines))
+        argv = [part.format(file=path) for part in argv]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code in (0, 1)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        if str(path) in argv:
+            assert json.loads(out)["file"] == str(path)
+            assert r'caf\u00e9 \"q\" \\ .uni"' in out
