@@ -1,7 +1,7 @@
 """Parser and printer for the universe description language.
 
-Grammar (names are case-sensitive; whitespace around tokens is ignored;
-comments occupy a whole line):
+Grammar (names are case-sensitive; spaces and tabs around tokens are
+ignored; comments occupy a whole line):
 
     doc      := (stmt NEWLINE)*
     stmt     := name "=" "{" [name ("," name)*] "}" | "#" comment
@@ -51,6 +51,8 @@ _ZERO_REP_RE = re.compile(r"0rep(?![A-Za-z0-9_])")
 NAME = "name"
 ZERO_REP_TOKEN = "0rep"
 PUNCT = "={}(),"
+# Ends every token list; its space keeps it apart from any token text.
+END = "end of line"
 
 
 @dataclass(frozen=True)
@@ -109,35 +111,29 @@ def _tokenize(line: str, lineno: int) -> list[tuple[str, str, int]]:
             i = match.end()
             continue
         raise DslSyntaxError(f"unexpected character {ch!r}", lineno, i + 1)
+    tokens.append((END, "", len(line) + 1))
     return tokens
 
 
 class _LineParser:
-    def __init__(self, tokens: list[tuple[str, str, int]], lineno: int, width: int):
+    def __init__(self, tokens: list[tuple[str, str, int]], lineno: int):
         self.tokens = tokens
         self.lineno = lineno
-        self.width = width
         self.pos = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self, kinds: tuple[str, ...], what: str) -> tuple[str, str, int]:
         """The next token, whose kind (or, for a keyword, whose text) must be
         one of kinds; otherwise a syntax error saying what was expected."""
-        token = self.peek()
-        if token is None:
-            raise DslSyntaxError(f"expected {what}", self.lineno, self.width + 1)
+        token = self.tokens[self.pos]
         if token[0] not in kinds and token[1] not in kinds:
-            raise DslSyntaxError(
-                f"expected {what}, found {token[1]!r}", self.lineno, token[2]
-            )
+            found = "" if token[0] is END else f", found {token[1]!r}"
+            raise DslSyntaxError(f"expected {what}{found}", self.lineno, token[2])
         self.pos += 1
         return token
 
     def at_end(self):
-        token = self.peek()
-        if token is not None:
+        token = self.tokens[self.pos]
+        if token[0] is not END:
             raise DslSyntaxError(
                 f"unexpected trailing {token[1]!r}", self.lineno, token[2]
             )
@@ -149,11 +145,10 @@ def _parse_set(
     """'{' [item (',' item)*] '}' where each item is a token of one of the
     given kinds (described as what) -> the item tokens in written order."""
     parser.take(("{",), "'{'")
-    token = parser.peek()
-    if token is not None and token[0] == "}":
-        parser.pos += 1
+    token = parser.take(("}", *kinds), what)
+    if token[0] == "}":
         return ()
-    items = [parser.take(kinds, what)]
+    items = [token]
     while parser.take((",", "}"), "',' or '}'")[0] == ",":
         items.append(parser.take(kinds, what))
     return tuple(items)
@@ -161,9 +156,8 @@ def _parse_set(
 
 def _parse_urelement(parser: _LineParser, lineno: int) -> UrelementDecl:
     name = parser.take((NAME,), "a urelement name")[1]
-    if parser.peek() is None:
+    if parser.take((END, "index"), "'index'")[0] is END:
         return UrelementDecl(name=name, index=None, line=lineno)
-    parser.take(("index",), "'index'")
     parser.take(("(",), "'('")
     zero_slot = _parse_set(parser, (NAME, ZERO_REP_TOKEN), "a name or 0rep")
     parser.take((",",), "','")
@@ -208,19 +202,12 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
             definitions.append((name, members, lineno))
             continue
         stripped = raw.strip()
-        if not stripped:
+        if not stripped or stripped.startswith("#"):
             continue
-        if stripped.startswith("#"):
-            continue
-        parser = _LineParser(_tokenize(raw, lineno), lineno, len(raw))
-        first = parser.peek()
-        second = parser.tokens[1] if len(parser.tokens) > 1 else None
-        if (
-            first is not None
-            and first[0] == NAME
-            and first[1] == "urelement"
-            and (second is None or second[0] == NAME)
-        ):
+        parser = _LineParser(_tokenize(raw, lineno), lineno)
+        # A non-blank line has a token before END (or _tokenize raised).
+        first, second = parser.tokens[:2]
+        if first[0] == NAME and first[1] == "urelement" and second[0] in (NAME, END):
             if not allow_urelements:
                 raise DslSyntaxError(
                     "urelement declarations are only allowed in model documents",

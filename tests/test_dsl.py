@@ -249,6 +249,94 @@ class TestDefinitionRegex:
         assert (err.value.line, err.value.col) == (1, len(line) + 1)
 
 
+def _error(text, allow_urelements):
+    """The error message text gives, or None if it parses."""
+    outcome = _outcome(text, allow_urelements)
+    return None if isinstance(outcome, dsl.UniverseDoc) else outcome[1]
+
+
+_MODEL_ONLY = (
+    "line 1, column 1: urelement declarations are only allowed in model documents"
+)
+
+
+class TestEndOfLine:
+    """A line cut after each of its tokens: the next step of the grammar
+    meets the end of the line, and says what it expected there."""
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("urelement", "line 1, column 10: expected a urelement name"),
+            ("urelement u", None),
+            ("urelement u index", "line 1, column 18: expected '('"),
+            ("urelement u index (", "line 1, column 20: expected '{'"),
+            ("urelement u index ( {", "line 1, column 22: expected a name or 0rep"),
+            ("urelement u index ( {0rep", "line 1, column 26: expected ',' or '}'"),
+            ("urelement u index ( {0rep}", "line 1, column 27: expected ','"),
+            ("urelement u index ( {0rep} ,", "line 1, column 29: expected '{'"),
+            (
+                "urelement u index ( {0rep} , {",
+                "line 1, column 31: expected a name or 0rep",
+            ),
+            (
+                "urelement u index ( {0rep} , {a",
+                "line 1, column 32: expected ',' or '}'",
+            ),
+            (
+                "urelement u index ( {0rep} , {a,",
+                "line 1, column 33: expected a name or 0rep",
+            ),
+            (
+                "urelement u index ( {0rep} , {a, b",
+                "line 1, column 35: expected ',' or '}'",
+            ),
+            (
+                "urelement u index ( {0rep} , {a, b}",
+                "line 1, column 36: expected ')'",
+            ),
+            ("urelement u index ( {0rep} , {a, b} )", "line 1: undefined name 'a'"),
+            ("urelement index", None),
+        ],
+    )
+    def test_urelement_line(self, line, message):
+        assert _error(line + "\n", allow_urelements=True) == message
+        assert _error(line + "\n", allow_urelements=False) == _MODEL_ONLY
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("a", "line 1, column 2: expected '='"),
+            ("a =", "line 1, column 4: expected '{'"),
+            ("a = {", "line 1, column 6: expected a name"),
+            ("a = {b", "line 1, column 7: expected ',' or '}'"),
+            ("a = {b,", "line 1, column 8: expected a name"),
+            ("a = {b, c", "line 1, column 10: expected ',' or '}'"),
+            ("a = {b, c}", "line 1: undefined name 'b'"),
+        ],
+    )
+    @pytest.mark.parametrize("allow_urelements", [False, True])
+    def test_definition(self, line, message, allow_urelements):
+        assert _error(line + "\n", allow_urelements) == message
+
+    def test_trailing_blanks_move_the_end(self):
+        assert _error("a = {b, \t\n", False) == "line 1, column 10: expected a name"
+
+
+class TestWhitespace:
+    """Only space and tab separate tokens; a line that is blank in the wider
+    Unicode sense is skipped."""
+
+    @pytest.mark.parametrize("blank", ["\xa0", "\u2003 \t"])
+    def test_unicode_blank_line_is_skipped(self, blank):
+        assert parse_document(f"a = {{}}\n{blank}\n").definitions == (("a", ()),)
+
+    def test_other_whitespace_after_tokens_is_an_error(self):
+        assert _error("a = {}\xa0\n", False) == (
+            "line 1, column 7: unexpected character '\\xa0'"
+        )
+
+
 class TestPrintUniverse:
     def test_exact_text(self):
         assert print_universe(quine_universe()) == "e = {}\nq = {q}\n"
