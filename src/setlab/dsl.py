@@ -17,10 +17,11 @@ The two slots spell a tag (Index): the first may only contain the literal
 names, the listed entities.  Forward references are allowed everywhere;
 every referenced name must be defined somewhere in the document.
 
-A well-formed definition line is matched whole by one regular expression.
-Every other line (urelement declarations, and any line with a syntax error)
-goes to the token parser, which is the one place that words each syntax
-error and its column.
+A well-formed definition line, and in a model document a well-formed
+urelement declaration, is matched whole by one regular expression.  Every
+other line (any line with a syntax error, and a urelement declaration in a
+plain document) goes to the token parser, which is the one place that words
+each syntax error and its column.
 """
 
 from __future__ import annotations
@@ -45,6 +46,17 @@ _NAME_RE = re.compile(_NAME)
 _DEFINITION_RE = re.compile(
     rf"[ \t]*({_NAME})[ \t]*=[ \t]*"
     rf"\{{((?:[ \t]*{_NAME}[ \t]*,)*[ \t]*{_NAME})?[ \t]*\}}[ \t]*"
+)
+# A whole well-formed urelement declaration: group 1 is the name, group 2
+# the index clause (None without one), groups 3 and 4 its two slots (None
+# when empty).  Blanks separate the keyword, the name and ``index``, which
+# would otherwise run together into one name; each 0rep is followed by a
+# blank, ',' or '}', as _ZERO_REP_RE requires.
+_URELEMENT_RE = re.compile(
+    rf"[ \t]*urelement[ \t]+({_NAME})"
+    r"([ \t]+index[ \t]*\([ \t]*"
+    r"\{((?:[ \t]*0rep[ \t]*,)*[ \t]*0rep)?[ \t]*\}[ \t]*,[ \t]*"
+    rf"\{{((?:[ \t]*{_NAME}[ \t]*,)*[ \t]*{_NAME})?[ \t]*\}}[ \t]*\))?[ \t]*"
 )
 _ZERO_REP_RE = re.compile(r"0rep(?![A-Za-z0-9_])")
 
@@ -200,6 +212,14 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
             name, body = match.groups()
             members = tuple(_NAME_RE.findall(body)) if body else ()
             definitions.append((name, members, lineno))
+            continue
+        if allow_urelements and (match := _URELEMENT_RE.fullmatch(raw)):
+            name, clause, zero_slot, names = match.groups()
+            index = None
+            if clause is not None:
+                listed = frozenset(_NAME_RE.findall(names)) if names else frozenset()
+                index = Index(zero_slot is not None, listed)
+            urelements.append(UrelementDecl(name=name, index=index, line=lineno))
             continue
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):

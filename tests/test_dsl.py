@@ -1,4 +1,6 @@
+import random
 import re
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -192,15 +194,15 @@ def _lines(draw):
     return "".join(draw(_GAPS) + token for token in tokens) + draw(_GAPS)
 
 
-def _single_edits(tokens):
+def _single_edits(tokens, pieces=_PIECES):
     """Every token list one insertion, deletion or replacement of a piece
     away from tokens."""
     for at in range(len(tokens) + 1):
-        for piece in _PIECES:
+        for piece in pieces:
             yield tokens[:at] + [piece] + tokens[at:]
     for at in range(len(tokens)):
         yield tokens[:at] + tokens[at + 1 :]
-        for piece in _PIECES:
+        for piece in pieces:
             yield tokens[:at] + [piece] + tokens[at + 1 :]
 
 
@@ -363,3 +365,160 @@ class TestPrintUniverse:
         assert {x: u.extension(x) for x in u.names} == {
             x: again.extension(x) for x in again.names
         }
+
+
+# Tokens separated by single spaces, so that split() gives them back.
+_WELL_FORMED_DECLARATIONS = (
+    "urelement u",
+    "urelement u index ( { } , { } )",
+    "urelement u index ( { 0rep } , { a , u } )",
+    "urelement index index ( { 0rep , 0rep } , { x1 } )",
+)
+_DECLARATION_PIECES = (
+    "urelement", "index", "a", "u", "x1", "_", "0rep", "0repx", "0",
+    *"={}(),#", " ", "\t", "\xa0",
+)
+_DECLARATION_GAPS = ("", " ", " ", "\t", " \t ")
+
+
+def _edited_declarations(rng, count):
+    """count lines, each a well-formed urelement declaration, as tokens, after
+    up to two random edits (insert, delete or replace a piece), joined with
+    random blanks; one in five is cut short at a random character."""
+    for _ in range(count):
+        tokens = rng.choice(_WELL_FORMED_DECLARATIONS).split()
+        for _ in range(rng.randint(0, 2)):
+            at = rng.randint(0, len(tokens))
+            edit = rng.choice(("insert", "delete", "replace"))
+            if edit == "insert":
+                tokens.insert(at, rng.choice(_DECLARATION_PIECES))
+            elif at < len(tokens):
+                piece = rng.choice(_DECLARATION_PIECES)
+                tokens[at : at + 1] = [] if edit == "delete" else [piece]
+        gap = partial(rng.choice, _DECLARATION_GAPS)
+        line = "".join(gap() + token for token in tokens) + gap()
+        if rng.random() < 0.2:
+            line = line[: rng.randrange(len(line) + 1)]
+        yield line
+
+
+def _token_parser_declaration(line):
+    """The declaration the token parser reads from line, or None if it does
+    not read line as a well-formed urelement declaration."""
+    try:
+        tokens = dsl._tokenize(line, 1)
+    except DslSyntaxError:
+        return None
+    if tokens[0][1] != "urelement" or tokens[1][0] not in (dsl.NAME, dsl.END):
+        return None
+    parser = dsl._LineParser(tokens, 1)
+    parser.pos = 1
+    try:
+        return dsl._parse_urelement(parser, 1)
+    except DslSyntaxError:
+        return None
+
+
+def _pinned(line, allow_urelements=True):
+    """What the one-line document parses to: its declaration, its
+    definitions, or its syntax error message."""
+    try:
+        doc = parse_document(line + "\n", allow_urelements)
+    except DslSyntaxError as err:
+        return str(err)
+    return doc.urelements[0] if doc.urelements else doc.definitions
+
+
+def _decl(name, complement=None, listed=()):
+    index = None if complement is None else dsl.Index(complement, frozenset(listed))
+    return dsl.UrelementDecl(name=name, index=index, line=1)
+
+
+class TestUrelementRegex:
+    """Well-formed urelement declarations in a model document bypass the
+    token parser; it stays the reference for what they mean and for every
+    error."""
+
+    def test_accepts_exactly_what_the_token_parser_accepts(self):
+        lines = [
+            " ".join(tokens)
+            for declaration in _WELL_FORMED_DECLARATIONS
+            for tokens in _single_edits(declaration.split(), _DECLARATION_PIECES)
+        ]
+        lines += _edited_declarations(random.Random(15), 3000)
+        accepted = 0
+        for line in lines:
+            decl = _token_parser_declaration(line)
+            assert (dsl._URELEMENT_RE.fullmatch(line) is not None) == (
+                decl is not None
+            ), line
+            if decl is None:
+                continue
+            accepted += 1
+            listed = decl.index.listed - {decl.name} if decl.index else ()
+            defined = "".join(f"{name} = {{}}\n" for name in sorted(listed))
+            doc = parse_document(f"{line}\n{defined}", allow_urelements=True)
+            assert doc.urelements == (decl,), line
+        assert len(lines) // 10 < accepted < len(lines) // 2
+
+    @pytest.mark.parametrize(
+        "line,expected",
+        [
+            (
+                "\turelement\tu\tindex\t(\t{\t0rep\t,\t0rep\t}\t,\t{\tu\t,\tu\t}\t)\t",
+                _decl("u", True, ["u"]),
+            ),
+            ("urelement u index( {0rep} , {u} )", _decl("u", True, ["u"])),
+            ("urelement u index({0rep, 0rep}, {})", _decl("u", True)),
+            ("urelement u index ({}, {})", _decl("u", False)),
+            ("urelement u index({},{})", _decl("u", False)),
+            ("urelement index", _decl("index")),
+            ("urelement index index ({0rep}, {})", _decl("index", True)),
+            ("urelement = {}", (("urelement", ()),)),
+            (
+                "urelement u index ({}, {0rep})",
+                "line 1, column 25: "
+                "only entity names may appear in the second index slot",
+            ),
+            (
+                "urelement u index ({u}, {})",
+                "line 1, column 21: "
+                "only 0rep may appear in the first index slot, found 'u'",
+            ),
+            (
+                "urelement u index ({0repx}, {})",
+                "line 1, column 21: unexpected character '0'",
+            ),
+            (
+                "urelement u index ({0rep0rep}, {})",
+                "line 1, column 21: unexpected character '0'",
+            ),
+            ("urelement", "line 1, column 10: expected a urelement name"),
+            ("urelement u index ({0rep}, {}", "line 1, column 30: expected ')'"),
+            (
+                "urelement uindex ({}, {})",
+                "line 1, column 18: expected 'index', found '('",
+            ),
+            (
+                "urelement u indexx ({}, {})",
+                "line 1, column 13: expected 'index', found 'indexx'",
+            ),
+        ],
+    )
+    def test_edge_case(self, line, expected):
+        assert _pinned(line) == expected
+
+    @pytest.mark.parametrize(
+        "line,col",
+        [
+            ("urelement\tu\tindex\t(\t{\t0rep\t}\t,\t{\tu\t}\t)\t", 1),
+            ("\t urelement u index ({}, {})", 3),
+            ("urelement index", 1),
+            ("urelement", 1),
+        ],
+    )
+    def test_model_only_in_a_plain_document(self, line, col):
+        assert _pinned(line, allow_urelements=False) == (
+            f"line 1, column {col}: "
+            "urelement declarations are only allowed in model documents"
+        )

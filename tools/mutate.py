@@ -1,9 +1,10 @@
 """Mutation check: does the test suite notice small changes to key functions?
 
-Copies src/, tests/ and pyproject.toml to a temporary directory.  For each
-mutant of a target function it rewrites that one function in the copy, runs
-``pytest -q -x`` there, and counts the mutant as killed (the tests fail or
-time out) or surviving.  The checkout itself is never written.
+Copies src/, tests/, tools/ and pyproject.toml to a temporary directory.
+For each mutant of a target function it rewrites that one function in the
+copy, runs ``pytest -q -x`` there, and counts the mutant as killed (the
+tests fail or time out) or surviving.  The checkout itself is never
+written.
 
     python tools/mutate.py              # every target
     python tools/mutate.py take at_end  # targets named take or at_end
@@ -42,6 +43,7 @@ TARGETS = (
     ("dsl.py", "_LineParser.at_end"),
     ("dsl.py", "_parse_set"),
     ("dsl.py", "_parse_urelement"),
+    ("dsl.py", "parse_document"),
 )
 SWAPS = {
     ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -195,6 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")
         shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
+        shutil.copytree(ROOT / "tools", work / "tools", ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work)
         start = time.perf_counter()
         if not run_tests(work, timeout=600):
