@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -265,6 +266,17 @@ class TestInterp:
         )
         assert code == 2
         assert "does not apply" in err
+
+    @pytest.mark.parametrize("demo", ["forster", "upperchain"])
+    def test_readme_example_model_runs_both_demos(self, capsys, tmp_path, demo):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        intro = readme.index("Model files use the universe grammar")
+        start = readme.index("```\n", intro) + len("```\n")
+        path = tmp_path / "readme.model"
+        path.write_text(readme[start : readme.index("```", start)])
+        code, out, err = run(capsys, "interp", "--demo", demo, "--model", str(path))
+        assert (code, err) == (0, "")
+        assert "result: ok" in out
 
     @pytest.mark.parametrize("demo", ["forster", "quine"])
     def test_k_applies_only_to_upperchain(self, capsys, demo):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given
 
@@ -17,11 +20,13 @@ from setlab import (
     is_lower,
     is_upper,
 )
+from setlab.enumerator import _relabellings
 
 # Isomorphism-class counts by Burnside's lemma over the symmetric group
-# acting on matrix cells: n=1: 2; n=2: (16 + 4)/2 = 10;
-# n=3: (512 + 3*32 + 2*8)/6 = 104; n=4: 3044 (OEIS A000595).
-CLASS_COUNTS = {1: 2, 2: 10, 3: 104, 4: 3044}
+# acting on matrix cells: n=0: 1 (the empty universe); n=1: 2;
+# n=2: (16 + 4)/2 = 10; n=3: (512 + 3*32 + 2*8)/6 = 104; n=4: 3044;
+# n=5: 291968 (OEIS A000595).
+CLASS_COUNTS = {0: 1, 1: 2, 2: 10, 3: 104, 4: 3044, 5: 291968}
 
 
 class TestEnumerationTotals:
@@ -96,7 +101,7 @@ class TestFilters:
 
 
 class TestDedupe:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_class_counts_match_burnside(self, n):
         stats = enumerate_universes(EnumSpec(n=n, dedupe=True))
         assert stats.total == CLASS_COUNTS[n]
@@ -124,11 +129,47 @@ class TestDedupe:
         )
         assert kept == minimal
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_representatives_are_every_least_code_in_counter_order(self, n):
+        # Each kept code is the least of its class (canonical_form takes the
+        # minimum over every relabelling), the codes strictly increase, and
+        # there are as many as there are classes: so every class is kept
+        # exactly once, by its least code, in counter order.
+        codes = []
+
+        def visit(u):
+            code = sum(mask << (i * n) for i, mask in enumerate(u.masks))
+            width = max(1, (n * n + 7) // 8)
+            assert canonical_form(u) == bytes([n]) + code.to_bytes(width, "little")
+            codes.append(code)
+
+        stats = enumerate_universes(EnumSpec(n=n, dedupe=True), visit=visit)
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert len(codes) == stats.total == stats.matching == CLASS_COUNTS[n]
+
     def test_dedupe_matching_counts_classes(self):
         stats = enumerate_universes(
             EnumSpec(n=1, filter="satisfies-successor", dedupe=True)
         )
         assert (stats.total, stats.matching) == (2, 1)
+
+
+class TestRelabellings:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_one_table_per_permutation_identity_first(self, n):
+        tables = _relabellings(n)
+        assert len(tables) == math.factorial(n)
+        # The dedupe generator skips the first table as the identity.
+        assert tables[0] == (tuple(range(n))[::-1], tuple(range(1 << n)))
+        orders = {order for order, _ in tables}
+        assert orders == set(itertools.permutations(range(n)))
+        for order, column in tables:
+            # Old element order[n-1-j] becomes new element j, so bit
+            # order[n-1-j] of a row moves to bit j.
+            assert column == tuple(
+                sum(1 << j for j in range(n) if mask >> order[n - 1 - j] & 1)
+                for mask in range(1 << n)
+            )
 
 
 class TestCanonicalForm:

@@ -77,8 +77,10 @@ GOLDEN = {
     "enumerate --size 2": (0, "3712e0b1d8613fb6", "e3b0c44298fc1c14"),
     "enumerate --size 2 --dedupe": (0, "1fcbc9857466158b", "e3b0c44298fc1c14"),
     "enumerate --size 3 --dedupe": (0, "f3d8390cab23fe08", "e3b0c44298fc1c14"),
+    "enumerate --size 4 --dedupe": (0, "f8624df034a0407c", "e3b0c44298fc1c14"),
     "enumerate --size 2 --filter satisfies-successor": (0, "5d80b92c0111b63b", "e3b0c44298fc1c14"),
     "enumerate --size 3 --filter satisfies-successor --dedupe": (0, "f32fbdd219032128", "e3b0c44298fc1c14"),
+    "enumerate --size 4 --filter satisfies-successor --dedupe": (0, "d0c726fb23dadd56", "e3b0c44298fc1c14"),
     "enumerate --size 2 --filter satisfies-predecessor": (0, "7e827ea3a646545b", "e3b0c44298fc1c14"),
     "enumerate --size 3 --filter satisfies-predecessor --dedupe": (0, "2d5d26f58762f0f2", "e3b0c44298fc1c14"),
     "enumerate --size 2 --filter satisfies-both": (0, "9c2720e1c5694b1b", "e3b0c44298fc1c14"),
@@ -109,8 +111,10 @@ GOLDEN = {
     "enumerate --size 2 --format json": (0, "7ae39f0952e07a41", "e3b0c44298fc1c14"),
     "enumerate --size 2 --dedupe --format json": (0, "20a01771b17c8fc6", "e3b0c44298fc1c14"),
     "enumerate --size 3 --dedupe --format json": (0, "80edb2fd0e313ba4", "e3b0c44298fc1c14"),
+    "enumerate --size 4 --dedupe --format json": (0, "13b81350518313ba", "e3b0c44298fc1c14"),
     "enumerate --size 2 --filter satisfies-successor --format json": (0, "fbc0da039dfed4bd", "e3b0c44298fc1c14"),
     "enumerate --size 3 --filter satisfies-successor --dedupe --format json": (0, "896d28016437247d", "e3b0c44298fc1c14"),
+    "enumerate --size 4 --filter satisfies-successor --dedupe --format json": (0, "cec18f80354a93f4", "e3b0c44298fc1c14"),
     "enumerate --size 2 --filter satisfies-predecessor --format json": (0, "ad2d36ee350113ef", "e3b0c44298fc1c14"),
     "enumerate --size 3 --filter satisfies-predecessor --dedupe --format json": (0, "708892cb98aab1c5", "e3b0c44298fc1c14"),
     "enumerate --size 2 --filter satisfies-both --format json": (0, "cbacac2aab33b209", "e3b0c44298fc1c14"),

@@ -1,6 +1,7 @@
 """Mutation check: does the test suite notice small changes to key functions?
 
-Copies src/, tests/, tools/ and pyproject.toml to a temporary directory.
+Copies src/, tests/, tools/, pyproject.toml and README.md (a test runs its
+example model) to a temporary directory.
 For each mutant of a target function it rewrites that one function in the
 copy, runs ``pytest -q -x`` there, and counts the mutant as killed (the
 tests fail or time out) or surviving.  The checkout itself is never
@@ -44,6 +45,8 @@ TARGETS = (
     ("dsl.py", "_parse_set"),
     ("dsl.py", "_parse_urelement"),
     ("dsl.py", "parse_document"),
+    ("enumerator.py", "_relabellings"),
+    ("enumerator.py", "_least_codes"),
 )
 SWAPS = {
     ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -199,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
         shutil.copytree(ROOT / "tools", work / "tools", ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work)
+        shutil.copy(ROOT / "README.md", work)
         start = time.perf_counter()
         if not run_tests(work, timeout=600):
             print("the unmutated tests fail; nothing to measure", file=sys.stderr)
