@@ -12,18 +12,19 @@ theorem of the definitions.  Conditional statements about an element's
 successor or predecessor are evaluated only where that lookup is Unique in
 the given universe; when no element satisfies a statement's hypotheses the
 verdict is "vacuous" rather than "holds".  A "violated" verdict always
-indicates an implementation bug and carries a concrete witness.  Every
-statement is evaluated as bit tests on the universe's cached masks and
-successor/predecessor tables (``Universe.facts``); names appear only in
+indicates an implementation bug and carries a concrete witness.  The suite
+is one pass over the universe's masks and cached successor/predecessor
+tables (``Universe.facts``) that collects a handful of per-element masks;
+every statement is then a few bit operations on them.  Names appear only in
 witnesses, and witnesses are built only for violations.  A report without a
 violation depends only on which statements hold, so universes with the same
-row of statuses share one immutable report.
+row of statuses share one immutable report, keyed by an int with one bit
+per statement.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 from .errors import LemmaViolationError
@@ -144,55 +145,30 @@ def check_axiom(u: Universe, which: str) -> AxiomReport:
 
 _HOLDS = Verdict(HOLDS)
 _VACUOUS = Verdict(VACUOUS)
-# The failure mask of a part of a statement (see verify_lemma_suite).
-_BAD = operator.itemgetter(3)
 
-
-def _pair_masks(masks, table, kind: int) -> tuple[int, ...]:
-    """Bits of the elements x that table (successor or predecessor) pairs
-    with some y, then of those among them where y == x, ext(y) != ext(x),
-    x is in y, y is in x, and y is in kind."""
-    paired = same = moved = x_in_y = y_in_x = y_kind = 0
-    for x, y in enumerate(table):
-        if y is None:
-            continue
-        bit = 1 << x
-        paired |= bit
-        if y == x:
-            same |= bit
-        if masks[y] != masks[x]:
-            moved |= bit
-        if masks[y] & bit:
-            x_in_y |= bit
-        if masks[x] >> y & 1:
-            y_in_x |= bit
-        if kind >> y & 1:
-            y_kind |= bit
-    return paired, same, moved, x_in_y, y_in_x, y_kind
-
-
-def _link_endpoints(masks, group: int) -> int:
-    """Bitmask of elements that are an endpoint of a link whose endpoints
-    both lie in group (a pair of distinct elements, one a member of the
-    other)."""
-    endpoints = 0
-    for i, mask in enumerate(masks):
-        bit = 1 << i
-        others = mask & group & ~bit
-        if group & bit and others:
-            endpoints |= others | bit
-    return endpoints
+# The parts the statements are made of, in the order of verify_lemma_suite's
+# failure masks: per part its statement and the Facts table (SUCCESSOR or
+# PREDECESSOR names it) whose entry follows the bad element in a witness.
+_PARTS = (
+    ("L-lower-not-self", None), ("L-upper-self", None), ("C-not-both", None),
+    ("C-stoppage", PREDECESSOR), ("C-stoppage", SUCCESSOR),  # from lowers, uppers
+    ("L-pred-not-self", PREDECESSOR), ("L-succ-self", SUCCESSOR),
+    ("A", SUCCESSOR), ("B", SUCCESSOR),
+    ("C2", PREDECESSOR), ("D", PREDECESSOR), ("E", PREDECESSOR),
+    # Link disjointness, the ascending steps from lowers and the descending
+    # steps from uppers.
+    ("main-result", None), ("main-result", SUCCESSOR), ("main-result", PREDECESSOR),
+    ("restated", None),
+)
 
 
 # The key space is the bound: one entry per set of statements that hold.
 @functools.lru_cache(maxsize=1 << len(LEMMA_TAGS))
-def _clean_report(holds: frozenset[str]) -> LemmaReport:
-    """The report without violations whose statements in holds hold and
-    whose other statements are vacuous."""
-    return LemmaReport(
-        tuple([(tag, _HOLDS if tag in holds else _VACUOUS) for tag in LEMMA_TAGS]),
-        (MAIN_RESULT_NOTE,),
-    )
+def _clean_report(holds: int) -> LemmaReport:
+    """The report without violations whose statements with a bit in holds
+    (bit k for LEMMA_TAGS[k]) hold and whose other statements are vacuous."""
+    row = [_HOLDS if holds >> k & 1 else _VACUOUS for k, _ in enumerate(LEMMA_TAGS)]
+    return LemmaReport(tuple(zip(LEMMA_TAGS, row)), (MAIN_RESULT_NOTE,))
 
 
 def verify_lemma_suite(u: Universe) -> LemmaReport:
@@ -200,54 +176,84 @@ def verify_lemma_suite(u: Universe) -> LemmaReport:
     names, masks, facts = u.names, u.masks, u.facts
     self_, nonself = facts.self_mask, facts.nonself_mask
     lowers, uppers = facts.lower_mask, facts.upper_mask
-    succ, pred = facts.successor, facts.predecessor
-    # s_*: elements with a unique successor y; p_*: with a unique predecessor.
-    s_pair, s_same, s_moved, s_x_in, _, s_lower = _pair_masks(masks, succ, lowers)
-    p_pair, p_same, p_moved, p_x_in, p_y_in, p_upper = _pair_masks(masks, pred, uppers)
+    # One pass.  s_*: elements x with a unique successor y, and those among
+    # them where y == x, ext(y) != ext(x), x is in y and y is a lower; p_*:
+    # likewise with a unique predecessor y, and where y is in x and y is an
+    # upper.  *_ends: the endpoints of a link (two distinct elements, one a
+    # member of the other) between lowers, or between uppers.
+    s_pair = s_same = s_moved = s_x_in = s_lower = 0
+    p_pair = p_same = p_moved = p_x_in = p_y_in = p_upper = 0
+    lower_ends = upper_ends = 0
+    for x, (mask, y, z) in enumerate(zip(masks, facts.successor, facts.predecessor)):
+        bit = 1 << x
+        if y is not None:
+            s_pair |= bit
+            if y == x:
+                s_same |= bit
+            if masks[y] != mask:
+                s_moved |= bit
+            if masks[y] & bit:
+                s_x_in |= bit
+            if lowers >> y & 1:
+                s_lower |= bit
+        if z is not None:
+            p_pair |= bit
+            if z == x:
+                p_same |= bit
+            if masks[z] != mask:
+                p_moved |= bit
+            if masks[z] & bit:
+                p_x_in |= bit
+            if mask >> z & 1:
+                p_y_in |= bit
+            if uppers >> z & 1:
+                p_upper |= bit
+        if lowers & bit and mask & lowers & ~bit:
+            lower_ends |= mask & lowers | bit
+        if uppers & bit and mask & uppers & ~bit:
+            upper_ends |= mask & uppers | bit
     lower_succ, upper_succ = lowers & s_pair, uppers & s_pair
     lower_pred, upper_pred = lowers & p_pair, uppers & p_pair
-    lower_ends = _link_endpoints(masks, lowers)
-    upper_ends = _link_endpoints(masks, uppers)
     russell = facts.russell_mask
 
-    # The parts the statements are made of: per part its statement, the
-    # table (successor or predecessor) whose entry follows the bad element in
-    # a witness, the elements meeting its hypotheses and those among them
-    # where its conclusion fails.
-    parts = (
-        ("L-lower-not-self", None, lowers, lowers & self_),
-        ("L-upper-self", None, uppers, uppers & nonself),
-        ("C-not-both", None, u.all_mask, lowers & uppers),
-        ("C-stoppage", pred, lower_pred, lower_pred & p_moved),  # from lowers
-        ("C-stoppage", succ, upper_succ, upper_succ & s_moved),  # from uppers
-        ("L-pred-not-self", pred, p_pair, p_x_in),
-        ("L-succ-self", succ, s_pair, s_pair & ~s_x_in),
-        ("A", succ, lower_succ, lower_succ & s_same),
-        ("B", succ, lower_succ, lower_succ & ~s_lower),
-        ("C2", pred, upper_pred, upper_pred & p_same),
-        ("D", pred, upper_pred, upper_pred & ~p_upper),
-        ("E", pred, upper_pred, upper_pred & ~p_y_in),
-        # Link disjointness is vacuous unless both kinds of link exist.
-        ("main-result", None, lower_ends and upper_ends, lower_ends & upper_ends),
-        # The ascending steps from lowers and the descending steps from uppers.
-        ("main-result", succ, lower_succ, lower_succ & (s_same | ~s_x_in | ~s_lower)),
-        ("main-result", pred, upper_pred, upper_pred & (p_same | ~p_y_in | ~p_upper)),
+    # Per part of _PARTS, the elements meeting its hypotheses where its
+    # conclusion fails.
+    bad = (
+        lowers & self_, uppers & nonself, lowers & uppers,
+        lower_pred & p_moved, upper_succ & s_moved,
+        p_x_in, s_pair & ~s_x_in,
+        lower_succ & s_same, lower_succ & ~s_lower,
+        upper_pred & p_same, upper_pred & ~p_upper, upper_pred & ~p_y_in,
+        lower_ends & upper_ends,
+        lower_succ & (s_same | ~s_x_in | ~s_lower),
+        upper_pred & (p_same | ~p_y_in | ~p_upper),
         # A Russell set x would have to be self-membered and not.
-        ("restated", None, russell, russell & ~(self_ & nonself)),
+        russell & ~(self_ & nonself),
     )
-    # A statement is violated by its first part with a bad element, and
-    # otherwise holds if any of its parts has a case.
-    holds = frozenset([tag for tag, _, cases, _ in parts if cases])
-    if not any(map(_BAD, parts)):
+    # A statement holds if any of its parts has a case (bit k for
+    # LEMMA_TAGS[k]); link disjointness needs both kinds of link.
+    some_lower_succ, some_upper_pred = lower_succ != 0, upper_pred != 0
+    holds = (
+        (lowers != 0) | (uppers != 0) << 1 | (masks != ()) << 2
+        | (lower_pred | upper_succ != 0) << 3 | (p_pair != 0) << 4
+        | (s_pair != 0) << 5 | some_lower_succ << 6 | some_lower_succ << 7
+        | some_upper_pred << 8 | some_upper_pred << 9 | some_upper_pred << 10
+        | (lower_succ | upper_pred | (lower_ends and upper_ends) != 0) << 11
+        | (russell != 0) << 12
+    )
+    if not any(bad):
         return _clean_report(holds)
 
-    verdicts = {tag: _HOLDS if tag in holds else _VACUOUS for tag in LEMMA_TAGS}
-    for tag, table, _, bad in parts:
-        if bad and verdicts[tag].status != VIOLATED:
+    # A statement is violated by its first part with a bad element.
+    verdicts = dict(_clean_report(holds).per_lemma)
+    for (tag, which), part in zip(_PARTS, bad):
+        if part and verdicts[tag].status != VIOLATED:
             # The witness: the first bad element in canonical order, then
-            # the element table pairs it with.
-            i = (bad & -bad).bit_length() - 1
-            witness = (names[i],) if table is None else (names[i], names[table[i]])
+            # the element that the part's table pairs it with.
+            i = (part & -part).bit_length() - 1
+            witness = (names[i],) if which is None else (
+                names[i], names[getattr(facts, which)[i]]
+            )
             verdicts[tag] = Verdict(VIOLATED, witness)
     return LemmaReport(tuple(verdicts.items()), (MAIN_RESULT_NOTE,))
 

@@ -37,6 +37,7 @@ from setlab import (
 )
 from setlab.audit import _clean_report
 from setlab.classifier import _classifications
+from suite_reference import reference_lemma_suite
 
 
 def universe(**extensions):
@@ -339,67 +340,175 @@ def quine_alone():
     return Universe(("q",), (1,))
 
 
+def links():
+    # a and b are lowers linked by a in b; t and w are coextensive
+    # self-membered uppers linked by t in w.
+    return universe(a=(), b=("a",), t=("a", "b", "t", "w"), w=("a", "b", "t", "w"))
+
+
+# A lying fact for each part of a statement: the statement, the universe, the
+# lie and the witness the lie must produce.
+PLANTED = [
+    pytest.param(
+        "L-lower-not-self", hf3, flips("self_mask", 0), ("h0",),
+        id="L-lower-not-self",
+    ),
+    pytest.param(
+        "L-upper-self", co_hf3, flips("nonself_mask", 0), ("h0",),
+        id="L-upper-self",
+    ),
+    pytest.param("C-not-both", hf3, flips("upper_mask", 0), ("h0",), id="C-not-both"),
+    pytest.param(
+        "L-pred-not-self", hf3, points("predecessor", 0, 1), ("h0", "h1"),
+        id="L-pred-not-self",
+    ),
+    pytest.param(
+        "L-succ-self", hf3, points("successor", 0, 2), ("h0", "h2"),
+        id="L-succ-self",
+    ),
+    pytest.param("A", hf3, points("successor", 0, 0), ("h0", "h0"), id="A"),
+    pytest.param("B", hf3, flips("lower_mask", 1), ("h0", "h1"), id="B"),
+    pytest.param("C2", co_hf3, points("predecessor", 0, 0), ("h0", "h0"), id="C2"),
+    pytest.param("D", co_hf3, flips("upper_mask", 1), ("h0", "h1"), id="D"),
+    pytest.param("E", co_hf3, points("predecessor", 1, 0), ("h1", "h0"), id="E"),
+    pytest.param(
+        "C-stoppage", hf3, points("predecessor", 1, 0), ("h1", "h0"),
+        id="C-stoppage-from-a-lower",
+    ),
+    pytest.param(
+        "C-stoppage", co_hf3, points("successor", 0, 1), ("h0", "h1"),
+        id="C-stoppage-from-an-upper",
+    ),
+    # b becomes an upper too: an endpoint of the lower link a-b and
+    # of the upper link b-t.  The link part comes first, so its
+    # one-element witness wins over the descending step b -> b.
+    pytest.param(
+        "main-result", links, flips("upper_mask", 1), ("b",),
+        id="main-result-links-meet",
+    ),
+    # w becomes a lower too: an endpoint of the upper link t-w and of the
+    # lower links a-w and b-w, but its member t is no lower endpoint.
+    pytest.param(
+        "main-result", links, flips("lower_mask", 3), ("w",),
+        id="main-result-links-meet-at-a-new-lower",
+    ),
+    # The ascending step part, one failed conclusion at a time.
+    pytest.param(
+        "main-result", quine_alone, flips("lower_mask", 0), ("q", "q"),
+        id="main-result-ascends-to-itself",
+    ),
+    pytest.param(
+        "main-result", hf3, points("successor", 0, 2), ("h0", "h2"),
+        id="main-result-ascends-to-a-non-container",
+    ),
+    pytest.param(
+        "main-result", hf3, flips("lower_mask", 1), ("h0", "h1"),
+        id="main-result-ascends-to-a-non-lower",
+    ),
+    # The descending step part, likewise.
+    pytest.param(
+        "main-result", co_hf3, points("predecessor", 0, 0), ("h0", "h0"),
+        id="main-result-descends-to-itself",
+    ),
+    pytest.param(
+        "main-result", co_hf3, points("predecessor", 1, 0), ("h1", "h0"),
+        id="main-result-descends-to-a-non-member",
+    ),
+    pytest.param(
+        "main-result", co_hf3, flips("upper_mask", 1), ("h0", "h1"),
+        id="main-result-descends-to-a-non-upper",
+    ),
+    pytest.param(
+        "restated", hf3, flips("russell_mask", 0), ("h0",), id="restated"
+    ),
+]
+
+
 class TestPlantedFacts:
     """Each failure check fires: one lying entry in a universe's facts makes
     its statement violated, with the lie's element and its table entry as
-    the witness."""
+    the witness.  Lying facts are also the only way to make restated hold."""
 
     @pytest.mark.parametrize(
         "tag, build, lie, witness",
-        [
-            pytest.param("A", hf3, points("successor", 0, 0), ("h0", "h0"), id="A"),
-            pytest.param("B", hf3, flips("lower_mask", 1), ("h0", "h1"), id="B"),
-            pytest.param(
-                "C2", co_hf3, points("predecessor", 0, 0), ("h0", "h0"), id="C2"
-            ),
-            pytest.param("D", co_hf3, flips("upper_mask", 1), ("h0", "h1"), id="D"),
-            pytest.param(
-                "E", co_hf3, points("predecessor", 1, 0), ("h1", "h0"), id="E"
-            ),
-            pytest.param(
-                "C-stoppage", hf3, points("predecessor", 1, 0), ("h1", "h0"),
-                id="C-stoppage-from-a-lower",
-            ),
-            pytest.param(
-                "C-stoppage", co_hf3, points("successor", 0, 1), ("h0", "h1"),
-                id="C-stoppage-from-an-upper",
-            ),
-            # The ascending step part, one failed conclusion at a time.
-            pytest.param(
-                "main-result", quine_alone, flips("lower_mask", 0), ("q", "q"),
-                id="main-result-ascends-to-itself",
-            ),
-            pytest.param(
-                "main-result", hf3, points("successor", 0, 2), ("h0", "h2"),
-                id="main-result-ascends-to-a-non-container",
-            ),
-            pytest.param(
-                "main-result", hf3, flips("lower_mask", 1), ("h0", "h1"),
-                id="main-result-ascends-to-a-non-lower",
-            ),
-            # The descending step part, likewise.
-            pytest.param(
-                "main-result", co_hf3, points("predecessor", 0, 0), ("h0", "h0"),
-                id="main-result-descends-to-itself",
-            ),
-            pytest.param(
-                "main-result", co_hf3, points("predecessor", 1, 0), ("h1", "h0"),
-                id="main-result-descends-to-a-non-member",
-            ),
-            pytest.param(
-                "main-result", co_hf3, flips("upper_mask", 1), ("h0", "h1"),
-                id="main-result-descends-to-a-non-upper",
-            ),
-            pytest.param(
-                "restated", hf3, flips("russell_mask", 0), ("h0",), id="restated"
-            ),
-        ],
+        PLANTED,
     )
     def test_a_lying_entry_violates_its_statement(self, tag, build, lie, witness):
         assert verify_lemma_suite(build()).ok
         u = build()
         u.__dict__["facts"] = u.facts._replace(**lie(u.facts))
         assert verify_lemma_suite(u).verdict(tag) == Verdict(VIOLATED, witness)
+
+    def test_restated_holds_for_a_russell_set_recorded_both_ways(self):
+        # No universe has a Russell set, so restated holds only on lying
+        # facts: here q, neither lower nor upper, is recorded as a Russell
+        # set and as both self-membered and not, which breaks nothing.
+        u = universe(e=(), q=("q",))
+        u.__dict__["facts"] = u.facts._replace(
+            russell_mask=u.bit("q"), nonself_mask=u.facts.nonself_mask | u.bit("q")
+        )
+        report = verify_lemma_suite(u)
+        assert report.ok and report.verdict("restated") == Verdict(HOLDS)
+        assert repr(report) == repr(reference_lemma_suite(u))
+
+
+def random_universe(rng, n):
+    """n elements whose members are drawn sparse (each bit the AND of one
+    to six random bits) or dense (the complement of such a draw), so that
+    lowers, uppers and links all occur."""
+    full, k, dense = (1 << n) - 1, rng.randint(1, 6), rng.random() < 0.5
+    masks = []
+    for _ in range(n):
+        mask = full
+        for _ in range(k):
+            mask &= rng.getrandbits(n)
+        masks.append(full & ~mask if dense else mask)
+    return Universe(tuple(f"x{i}" for i in range(n)), tuple(masks))
+
+
+def random_lie(rng, u):
+    """A lie about one entry of u's facts, drawn like the planted ones."""
+    i = rng.randrange(len(u))
+    if rng.random() < 0.5:
+        table = rng.choice(("successor", "predecessor"))
+        return points(table, i, rng.randrange(len(u)))
+    mask = rng.choice(
+        ("self_mask", "nonself_mask", "lower_mask", "upper_mask", "russell_mask")
+    )
+    return flips(mask, i)
+
+
+class TestReferenceSuite:
+    """verify_lemma_suite gives the same report, repr for repr, as the
+    five-loop evaluator it replaced (tests/suite_reference.py)."""
+
+    def agree(self, u):
+        assert repr(verify_lemma_suite(u)) == repr(reference_lemma_suite(u))
+
+    def test_every_universe_up_to_three_elements(self):
+        for n in range(4):
+            for d in all_membership_dicts(n):
+                self.agree(to_universe(d))
+
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_random_universes_told_and_not_told_a_lie(self, n):
+        rng = random.Random(n)
+        violated = 0
+        for _ in range(2000):
+            self.agree(random_universe(rng, n))
+            u = random_universe(rng, n)
+            u.__dict__["facts"] = u.facts._replace(**random_lie(rng, u)(u.facts))
+            self.agree(u)
+            violated += not verify_lemma_suite(u).ok
+        # About 1,200 of the 2,000 lies break a statement, so the witnesses
+        # are compared too.
+        assert violated > 1000
+
+    @pytest.mark.parametrize("tag, build, lie, witness", PLANTED)
+    def test_planted_lies(self, tag, build, lie, witness):
+        u = build()
+        u.__dict__["facts"] = u.facts._replace(**lie(u.facts))
+        self.agree(u)
 
 
 class TestTraceChain:

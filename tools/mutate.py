@@ -4,8 +4,9 @@ Copies src/, tests/, tools/, pyproject.toml and README.md (a test runs its
 example model) to a temporary directory.
 For each mutant of a target function it rewrites that one function in the
 copy, runs ``pytest -q -x`` there, and counts the mutant as killed (the
-tests fail or time out) or surviving.  The checkout itself is never
-written.
+tests fail or time out) or surviving.  Mutant runs are quiet; when the
+unmutated suite fails, the tail of pytest's output goes to stderr.  The
+checkout itself is never written.
 
     python tools/mutate.py              # every target
     python tools/mutate.py take at_end  # targets named take or at_end
@@ -37,8 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "setlab"
 TARGETS = (
     ("audit.py", "verify_lemma_suite"),
-    ("audit.py", "_pair_masks"),
-    ("audit.py", "_link_endpoints"),
+    ("audit.py", "_clean_report"),
     ("universe.py", "Universe.facts"),
     ("dsl.py", "_LineParser.take"),
     ("dsl.py", "_LineParser.at_end"),
@@ -157,20 +157,26 @@ def splice(source: str, qualname: str, text: str) -> str:
     )
 
 
-def run_tests(work: Path, timeout: float) -> bool:
-    """Whether the test suite passes in work."""
+def run_tests(work: Path, timeout: float, report: bool = False) -> bool:
+    """Whether the test suite passes in work.  With report, a failed run
+    prints the tail of pytest's output (its short test summary) to stderr."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(work / "src"))
     try:
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
             cwd=work,
             env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+            stdout=subprocess.PIPE if report else subprocess.DEVNULL,
+            stderr=subprocess.STDOUT if report else subprocess.DEVNULL,
             timeout=timeout,
         )
     except subprocess.TimeoutExpired:
+        if report:
+            print(f"the unmutated tests ran over {timeout:.0f} s", file=sys.stderr)
         return False
+    if result.returncode and report:
+        tail = result.stdout.decode(errors="replace").splitlines()[-20:]
+        print("\n".join(tail), file=sys.stderr)
     return result.returncode == 0
 
 
@@ -204,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copy(ROOT / "pyproject.toml", work)
         shutil.copy(ROOT / "README.md", work)
         start = time.perf_counter()
-        if not run_tests(work, timeout=600):
+        if not run_tests(work, timeout=600, report=True):
             print("the unmutated tests fail; nothing to measure", file=sys.stderr)
             return 2
         timeout = max(60.0, 5 * (time.perf_counter() - start))
