@@ -1,7 +1,7 @@
 """Parser and printer for the universe description language.
 
 Grammar (names are case-sensitive; spaces and tabs around tokens are
-ignored; comments occupy a whole line):
+ignored; comments occupy a whole line; a NEWLINE is LF, CRLF or CR):
 
     doc      := (stmt NEWLINE)*
     stmt     := name "=" "{" [name ("," name)*] "}" | "#" comment
@@ -20,7 +20,7 @@ every referenced name must be defined somewhere in the document.
 A well-formed definition line, and in a model document a well-formed
 urelement declaration, is matched whole by one regular expression.  Every
 other line (any line with a syntax error, and a urelement declaration in a
-plain document) goes to the token parser, which is the one place that words
+plain document) goes to the line checker, which is the one place that words
 each syntax error and its column.
 """
 
@@ -41,8 +41,8 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
 # A whole well-formed definition line: group 1 is the name, group 2 the
 # member list (None for an empty set).  It skips only space and tab, as
-# _tokenize does, so it accepts exactly the definitions the token parser
-# accepts; every other line goes to the token parser.
+# _tokenize does, so it accepts exactly the definitions the line checker
+# accepts; every other line goes to the line checker.
 _DEFINITION_RE = re.compile(
     rf"[ \t]*({_NAME})[ \t]*=[ \t]*"
     rf"\{{((?:[ \t]*{_NAME}[ \t]*,)*[ \t]*{_NAME})?[ \t]*\}}[ \t]*"
@@ -51,18 +51,21 @@ _DEFINITION_RE = re.compile(
 # the index clause (None without one), groups 3 and 4 its two slots (None
 # when empty).  Blanks separate the keyword, the name and ``index``, which
 # would otherwise run together into one name; each 0rep is followed by a
-# blank, ',' or '}', as _ZERO_REP_RE requires.
+# blank, ',' or '}', as _TOKEN_RE requires.
 _URELEMENT_RE = re.compile(
     rf"[ \t]*urelement[ \t]+({_NAME})"
     r"([ \t]+index[ \t]*\([ \t]*"
     r"\{((?:[ \t]*0rep[ \t]*,)*[ \t]*0rep)?[ \t]*\}[ \t]*,[ \t]*"
     rf"\{{((?:[ \t]*{_NAME}[ \t]*,)*[ \t]*{_NAME})?[ \t]*\}}[ \t]*\))?[ \t]*"
 )
-_ZERO_REP_RE = re.compile(r"0rep(?![A-Za-z0-9_])")
+# One token after any blanks: a name, 0rep, punctuation, or (group 4) any
+# other non-blank character, which starts no token.
+_TOKEN_RE = re.compile(
+    rf"[ \t]*(?:({_NAME})|(0rep)(?![A-Za-z0-9_])|([={{}}(),])|([^ \t]))"
+)
 
 NAME = "name"
 ZERO_REP_TOKEN = "0rep"
-PUNCT = "={}(),"
 # Ends every token list; its space keeps it apart from any token text.
 END = "end of line"
 
@@ -101,81 +104,74 @@ class UniverseDoc:
 
 
 def _tokenize(line: str, lineno: int) -> list[tuple[str, str, int]]:
+    """(kind, text, column) of each token of line, then END.  A character
+    that starts no token is a syntax error."""
     tokens = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch in PUNCT:
-            tokens.append((ch, ch, i + 1))
-            i += 1
-            continue
-        match = _NAME_RE.match(line, i)
-        if match:
-            tokens.append((NAME, match.group(), i + 1))
-            i = match.end()
-            continue
-        match = _ZERO_REP_RE.match(line, i)
-        if match:
-            tokens.append((ZERO_REP_TOKEN, match.group(), i + 1))
-            i = match.end()
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", lineno, i + 1)
+    for match in _TOKEN_RE.finditer(line):
+        group = match.lastindex
+        text, col = match.group(group), match.start(group) + 1
+        if group == 4:
+            raise DslSyntaxError(f"unexpected character {text!r}", lineno, col)
+        tokens.append((NAME if group == 1 else text, text, col))
     tokens.append((END, "", len(line) + 1))
     return tokens
 
 
-class _LineParser:
-    def __init__(self, tokens: list[tuple[str, str, int]], lineno: int):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.pos = 0
+def _check_line(line: str, lineno: int, allow_urelements: bool) -> None:
+    """Raise the first syntax error of a non-blank, non-comment line, or
+    return if the token grammar accepts it.  It builds nothing: the regexes
+    read every line that it accepts."""
+    tokens = _tokenize(line, lineno)
+    pos = 0
 
-    def take(self, kinds: tuple[str, ...], what: str) -> tuple[str, str, int]:
+    def take(kinds: tuple[str, ...], what: str) -> tuple[str, str, int]:
         """The next token, whose kind (or, for a keyword, whose text) must be
         one of kinds; otherwise a syntax error saying what was expected."""
-        token = self.tokens[self.pos]
+        nonlocal pos
+        token = tokens[pos]
         if token[0] not in kinds and token[1] not in kinds:
             found = "" if token[0] is END else f", found {token[1]!r}"
-            raise DslSyntaxError(f"expected {what}{found}", self.lineno, token[2])
-        self.pos += 1
+            raise DslSyntaxError(f"expected {what}{found}", lineno, token[2])
+        pos += 1
         return token
 
-    def at_end(self):
-        token = self.tokens[self.pos]
-        if token[0] is not END:
+    def items(kinds: tuple[str, ...], what: str) -> list[tuple[str, str, int]]:
+        """'{' [item (',' item)*] '}' where each item is a token of one of the
+        given kinds (described as what) -> the item tokens."""
+        take(("{",), "'{'")
+        token = take(("}", *kinds), what)
+        if token[0] == "}":
+            return []
+        found = [token]
+        while take((",", "}"), "',' or '}'")[0] == ",":
+            found.append(take(kinds, what))
+        return found
+
+    first, second = tokens[:2]  # a non-blank line has a token before END
+    zero_slot = mu_slot = ()
+    if first[1] == "urelement" and second[0] in (NAME, END):
+        if not allow_urelements:
             raise DslSyntaxError(
-                f"unexpected trailing {token[1]!r}", self.lineno, token[2]
+                "urelement declarations are only allowed in model documents",
+                lineno,
+                first[2],
             )
-
-
-def _parse_set(
-    parser: _LineParser, kinds: tuple[str, ...], what: str
-) -> tuple[tuple[str, str, int], ...]:
-    """'{' [item (',' item)*] '}' where each item is a token of one of the
-    given kinds (described as what) -> the item tokens in written order."""
-    parser.take(("{",), "'{'")
-    token = parser.take(("}", *kinds), what)
-    if token[0] == "}":
-        return ()
-    items = [token]
-    while parser.take((",", "}"), "',' or '}'")[0] == ",":
-        items.append(parser.take(kinds, what))
-    return tuple(items)
-
-
-def _parse_urelement(parser: _LineParser, lineno: int) -> UrelementDecl:
-    name = parser.take((NAME,), "a urelement name")[1]
-    if parser.take((END, "index"), "'index'")[0] is END:
-        return UrelementDecl(name=name, index=None, line=lineno)
-    parser.take(("(",), "'('")
-    zero_slot = _parse_set(parser, (NAME, ZERO_REP_TOKEN), "a name or 0rep")
-    parser.take((",",), "','")
-    mu_slot = _parse_set(parser, (NAME, ZERO_REP_TOKEN), "a name or 0rep")
-    parser.take((")",), "')'")
-    parser.at_end()
+        pos = 1  # past the keyword
+        take((NAME,), "a urelement name")
+        if take((END, "index"), "'index'")[0] is END:
+            return
+        take(("(",), "'('")
+        zero_slot = items((NAME, ZERO_REP_TOKEN), "a name or 0rep")
+        take((",",), "','")
+        mu_slot = items((NAME, ZERO_REP_TOKEN), "a name or 0rep")
+        take((")",), "')'")
+    else:
+        take((NAME,), "a name")
+        take(("=",), "'='")
+        items((NAME,), "a name")
+    token = tokens[pos]
+    if token[0] is not END:
+        raise DslSyntaxError(f"unexpected trailing {token[1]!r}", lineno, token[2])
     for kind, value, col in zero_slot:
         if kind != ZERO_REP_TOKEN:
             raise DslSyntaxError(
@@ -190,12 +186,6 @@ def _parse_urelement(parser: _LineParser, lineno: int) -> UrelementDecl:
                 lineno,
                 col,
             )
-    listed = frozenset(token[1] for token in mu_slot)
-    return UrelementDecl(
-        name=name,
-        index=Index(bool(zero_slot), listed),
-        line=lineno,
-    )
 
 
 def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
@@ -206,7 +196,10 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
     """
     definitions: list[tuple[str, tuple[str, ...], int]] = []
     urelements: list[UrelementDecl] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Only \n, \r\n and \r end a line, as in a file opened in text mode;
+    # str.splitlines would also break at \x0c, \x85, U+2028 and others.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         match = _DEFINITION_RE.fullmatch(raw)
         if match:
             name, body = match.groups()
@@ -224,24 +217,8 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parser = _LineParser(_tokenize(raw, lineno), lineno)
-        # A non-blank line has a token before END (or _tokenize raised).
-        first, second = parser.tokens[:2]
-        if first[0] == NAME and first[1] == "urelement" and second[0] in (NAME, END):
-            if not allow_urelements:
-                raise DslSyntaxError(
-                    "urelement declarations are only allowed in model documents",
-                    lineno,
-                    first[2],
-                )
-            parser.pos = 1  # past the keyword
-            urelements.append(_parse_urelement(parser, lineno))
-            continue
-        name = parser.take((NAME,), "a name")[1]
-        parser.take(("=",), "'='")
-        members = tuple(token[1] for token in _parse_set(parser, (NAME,), "a name"))
-        parser.at_end()
-        definitions.append((name, members, lineno))
+        _check_line(raw, lineno, allow_urelements)
+        raise AssertionError(f"line {lineno}: the checker accepts what no regex reads")
 
     # Each name rule in one pass: the definitions first, then the urelements.
     declared = [

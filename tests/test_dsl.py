@@ -1,7 +1,6 @@
 import random
 import re
 from functools import partial
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -213,29 +212,62 @@ def _outcome(text, allow_urelements):
         return type(err), str(err)
 
 
-def _assert_token_parser_agrees(text, allow_urelements):
-    """The outcome of text, and the outcome with the definition regex
-    switched off so that every line goes to the token parser, are equal."""
-    fast = _outcome(text, allow_urelements)
-    with mock.patch.object(dsl, "_DEFINITION_RE", re.compile("(?!)")):
-        assert _outcome(text, allow_urelements) == fast, text
+_WORD_RE = re.compile(r"0rep|[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _checker_accepts(line, allow_urelements):
+    try:
+        dsl._check_line(line, 1, allow_urelements)
+    except DslSyntaxError:
+        return False
+    return True
+
+
+def _assert_checker_agrees(line, allow_urelements):
+    """A regex matches line if and only if the line checker accepts it, and
+    an accepted line means what its words say: a definition's name and then
+    its members in written order; a declaration's name, whether it lists
+    0rep, and the names it lists after 'index'.  Returns whether accepted;
+    a blank or comment line never reaches the checker."""
+    if not line.strip() or line.strip().startswith("#"):
+        return False
+    matched = dsl._DEFINITION_RE.fullmatch(line) or (
+        allow_urelements and dsl._URELEMENT_RE.fullmatch(line)
+    )
+    accepted = _checker_accepts(line, allow_urelements)
+    assert bool(matched) == accepted, line
+    if not accepted:
+        return False
+    words = _WORD_RE.findall(line)
+    if "=" in line:
+        name, *refs = words
+        expected = (name, tuple(refs))
+    else:
+        name, *rest = words[1:]
+        refs = set(rest[1:]) - {"0rep"}
+        expected = _decl(name, "0rep" in rest, refs) if rest else _decl(name)
+    defined = "".join(f"{ref} = {{}}\n" for ref in sorted(set(refs) - {name}))
+    doc = parse_document(f"{line}\n{defined}", allow_urelements)
+    got = doc.definitions[0] if "=" in line else doc.urelements[0]
+    assert got == expected, line
+    return True
 
 
 class TestDefinitionRegex:
-    """Well-formed definition lines bypass the token parser; it stays the
-    reference for what they mean and for every error."""
+    """The definition regex reads exactly the definitions that the line
+    checker accepts, and each as its words say."""
 
     @settings(max_examples=500)
     @given(st.lists(_lines(), min_size=1, max_size=3), st.booleans())
     def test_same_outcome_as_the_token_parser(self, lines, allow_urelements):
-        _assert_token_parser_agrees("\n".join(lines), allow_urelements)
+        for line in lines:
+            _assert_checker_agrees(line, allow_urelements)
 
     @pytest.mark.parametrize("sep", ["", " "])
     def test_every_single_edit_of_a_definition(self, sep):
         for tokens in _single_edits(["a", "=", "{", "x1", ",", "_", "}"]):
-            text = sep.join(tokens) + "\nx1 = {}\n_ = {}\n"
             for allow_urelements in (False, True):
-                _assert_token_parser_agrees(text, allow_urelements)
+                _assert_checker_agrees(sep.join(tokens), allow_urelements)
 
     def test_long_definition_keeps_written_order(self):
         names = [f"m{i}" for i in reversed(range(20_000))]
@@ -339,6 +371,55 @@ class TestWhitespace:
         )
 
 
+class TestLineEnds:
+    """Only LF, CRLF and CR end a line; other line separators belong to the
+    line they are on."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("# note\u2028\nb = {\n", "line 2, column 6: expected a name"),
+            ("\x0c\nb = {\n", "line 2, column 6: expected a name"),
+            ("a = {}\x0c b = {}\n", "line 1, column 7: unexpected character '\\x0c'"),
+            (
+                "a = {}\u2028\nb = {\n",
+                "line 1, column 7: unexpected character '\\u2028'",
+            ),
+            ("a = {}\r\nb = {\r\n", "line 2, column 6: expected a name"),
+            ("a = {}\rb = {\r", "line 2, column 6: expected a name"),
+        ],
+    )
+    def test_error_line(self, text, message):
+        assert _error(text, allow_urelements=False) == message
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr(self, end):
+        text = end.join(["# c", "a = {b}", "", "b = {}", ""])
+        assert parse_document(text).definitions == (("a", ("b",)), ("b", ()))
+
+    def test_form_feed_line_is_blank(self):
+        assert parse_document("a = {}\n\x0c\n").definitions == (("a", ()),)
+
+
+class TestErrorPrecedence:
+    """Which of several errors on one line is reported."""
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("a = = {é}", "column 8: unexpected character 'é'"),
+            ("urelement u index ({u}, {}) x", "column 29: unexpected trailing 'x'"),
+            (
+                "urelement u index ({u}, {0rep})",
+                "column 21: only 0rep may appear in the first index slot, found 'u'",
+            ),
+            ("urelement u index ({x}, {0rep}", "column 31: expected ')'"),
+        ],
+    )
+    def test_first_error_wins(self, line, message):
+        assert _error(line + "\n", allow_urelements=True) == f"line 1, {message}"
+
+
 class TestPrintUniverse:
     def test_exact_text(self):
         assert print_universe(quine_universe()) == "e = {}\nq = {q}\n"
@@ -402,23 +483,6 @@ def _edited_declarations(rng, count):
         yield line
 
 
-def _token_parser_declaration(line):
-    """The declaration the token parser reads from line, or None if it does
-    not read line as a well-formed urelement declaration."""
-    try:
-        tokens = dsl._tokenize(line, 1)
-    except DslSyntaxError:
-        return None
-    if tokens[0][1] != "urelement" or tokens[1][0] not in (dsl.NAME, dsl.END):
-        return None
-    parser = dsl._LineParser(tokens, 1)
-    parser.pos = 1
-    try:
-        return dsl._parse_urelement(parser, 1)
-    except DslSyntaxError:
-        return None
-
-
 def _pinned(line, allow_urelements=True):
     """What the one-line document parses to: its declaration, its
     definitions, or its syntax error message."""
@@ -435,9 +499,8 @@ def _decl(name, complement=None, listed=()):
 
 
 class TestUrelementRegex:
-    """Well-formed urelement declarations in a model document bypass the
-    token parser; it stays the reference for what they mean and for every
-    error."""
+    """In a model document the urelement regex reads exactly the
+    declarations that the line checker accepts, and each as its words say."""
 
     def test_accepts_exactly_what_the_token_parser_accepts(self):
         lines = [
@@ -446,19 +509,7 @@ class TestUrelementRegex:
             for tokens in _single_edits(declaration.split(), _DECLARATION_PIECES)
         ]
         lines += _edited_declarations(random.Random(15), 3000)
-        accepted = 0
-        for line in lines:
-            decl = _token_parser_declaration(line)
-            assert (dsl._URELEMENT_RE.fullmatch(line) is not None) == (
-                decl is not None
-            ), line
-            if decl is None:
-                continue
-            accepted += 1
-            listed = decl.index.listed - {decl.name} if decl.index else ()
-            defined = "".join(f"{name} = {{}}\n" for name in sorted(listed))
-            doc = parse_document(f"{line}\n{defined}", allow_urelements=True)
-            assert doc.urelements == (decl,), line
+        accepted = sum(_assert_checker_agrees(line, True) for line in lines)
         assert len(lines) // 10 < accepted < len(lines) // 2
 
     @pytest.mark.parametrize(

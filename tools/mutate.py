@@ -9,7 +9,7 @@ unmutated suite fails, the tail of pytest's output goes to stderr.  The
 checkout itself is never written.
 
     python tools/mutate.py              # every target
-    python tools/mutate.py take at_end  # targets named take or at_end
+    python tools/mutate.py _json        # the target named _json
     python tools/mutate.py --list       # print the mutants, run nothing
 
 Mutations, one per mutant: swap a comparison (``is``/``is not``,
@@ -40,13 +40,14 @@ TARGETS = (
     ("audit.py", "verify_lemma_suite"),
     ("audit.py", "_clean_report"),
     ("universe.py", "Universe.facts"),
-    ("dsl.py", "_LineParser.take"),
-    ("dsl.py", "_LineParser.at_end"),
-    ("dsl.py", "_parse_set"),
-    ("dsl.py", "_parse_urelement"),
+    ("dsl.py", "_tokenize"),
+    ("dsl.py", "_check_line"),
     ("dsl.py", "parse_document"),
     ("enumerator.py", "_relabellings"),
     ("enumerator.py", "_least_codes"),
+    ("enumerator.py", "_relabelled_code"),
+    ("enumerator.py", "canonical_form"),
+    ("cli.py", "_json"),
 )
 SWAPS = {
     ast.Is: ast.IsNot, ast.IsNot: ast.Is,
