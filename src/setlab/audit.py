@@ -4,8 +4,8 @@ The two axioms under audit assert that every element has a unique successor
 (extension plus itself) and a unique predecessor (extension minus itself).
 Finite universes usually violate them, so the audit reports a per-element
 lookup outcome rather than a bare boolean.  The verdict is read off the
-universe's index tables; the per-element results are built only when a
-report's ``per_element`` is first read.
+universe's index tables; a report is a plain named tuple, and its
+``per_element`` results are built on each read, not kept.
 
 The lemma suite evaluates, by exhaustive sweep, every statement that is a
 theorem of the definitions.  Conditional statements about an element's
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LemmaViolationError
 from .universe import Absent, ElementId, LookupResult, Universe
@@ -71,15 +72,15 @@ MAIN_RESULT_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     axiom: str
     universe: Universe
     satisfied: bool
 
-    @functools.cached_property
+    @property
     def per_element(self) -> tuple[tuple[ElementId, LookupResult], ...]:
-        """Each element with its lookup result, in canonical order."""
+        """Each element with its lookup result, in canonical order; built on
+        each read."""
         u = self.universe
         lookup = u.successor_in if self.axiom == SUCCESSOR else u.predecessor_in
         return tuple([(x, lookup(x)) for x in u.names])

@@ -5,10 +5,11 @@ non-self-membered element of its universe.  Nothing can be both, which is
 the finite-universe face of the Russell paradox; the witness searches below
 exist to confirm that emptiness mechanically.  Both classes, the Russell
 set and the comprehension witnesses are read off tables each universe
-computes once and caches (``Universe.facts``).  ``classify_all`` returns one
-shared tuple per distinct names and masks.  An element classified as both
-raises LemmaViolationError, on every call: the message naming it is built
-only for that violation, and no failed classification is kept.
+computes once and caches (``Universe.facts``, and ``Universe.carriers`` for
+the witnesses).  ``classify_all`` returns one shared tuple per distinct
+names and masks.  An element classified as both raises
+LemmaViolationError, on every call: the message naming it is built only for
+that violation, and no failed classification is kept.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _classifications(
 def comprehension_witness(u: Universe, target: int) -> ElementId | None:
     """Least element (canonical order) whose members are exactly the
     elements in target, a member mask (bit i for the i-th element), if any."""
-    at = u.facts.carriers.get(target)
+    at = u.carriers.get(target)
     return u.names[at[0]] if at else None
 
 

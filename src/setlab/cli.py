@@ -114,31 +114,36 @@ def _cmd_check(args) -> int:
     ]
     ok = all(r.satisfied for r in reports if args.require in (r.axiom, "both"))
 
-    doc = {
-        "file": args.file,
-        "elements": len(u),
-        "axioms": [
-            {
-                "axiom": report.axiom,
-                "satisfied": report.satisfied,
-                "per_element": [
-                    {"element": x, "result": _lookup_json(r)}
-                    for x, r in report.per_element
-                ],
-            }
-            for report in reports
-        ],
-        "require": args.require,
-        "ok": ok,
-    }
-    lines = [f"universe: {args.file} ({len(u)} elements)"]
-    for report in reports:
-        state = "satisfied" if report.satisfied else "not satisfied"
-        lines.append(f"axiom {report.axiom}: {state}")
-        for x, result in report.per_element:
-            lines.append(f"  {x}: {_lookup_text(result)}")
-    if args.require:
-        lines.append(f"require {args.require}: {'ok' if ok else 'FAIL'}")
+    # per_element is built on each read, so each report's is read once, for
+    # the one format that gets printed.
+    doc, lines = {}, []
+    if args.format == "json":
+        doc = {
+            "file": args.file,
+            "elements": len(u),
+            "axioms": [
+                {
+                    "axiom": report.axiom,
+                    "satisfied": report.satisfied,
+                    "per_element": [
+                        {"element": x, "result": _lookup_json(r)}
+                        for x, r in report.per_element
+                    ],
+                }
+                for report in reports
+            ],
+            "require": args.require,
+            "ok": ok,
+        }
+    else:
+        lines.append(f"universe: {args.file} ({len(u)} elements)")
+        for report in reports:
+            state = "satisfied" if report.satisfied else "not satisfied"
+            lines.append(f"axiom {report.axiom}: {state}")
+            for x, result in report.per_element:
+                lines.append(f"  {x}: {_lookup_text(result)}")
+        if args.require:
+            lines.append(f"require {args.require}: {'ok' if ok else 'FAIL'}")
     return _emit(args, doc, lines, ok)
 
 

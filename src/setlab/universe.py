@@ -13,10 +13,12 @@ iteration, which keeps every derived report byte-reproducible.  What the
 classifier, the audit and the enumerator's filters derive from a universe
 (self-membered, lower and upper masks, the Russell set, successor and
 predecessor tables) is computed once per universe and cached in
-``Universe.facts``, which holds index tables only.  The name-level lookup
-results (``successor_in``, ``predecessor_in``) are built from it when first
-asked for, one per group of coextensive elements.  ``hf_universe`` builds
-the hereditarily finite worlds.
+``Universe.facts``, which holds index tables only.  The carrier lists of
+each extension (``Universe.carriers``) are a second cached table, built only
+when a name-level lookup (``successor_in``, ``predecessor_in``) or a
+comprehension witness first asks for them; lookup results are then built one
+per group of coextensive elements.  ``hf_universe`` builds the hereditarily
+finite worlds.
 """
 
 from __future__ import annotations
@@ -79,11 +81,10 @@ class Facts(NamedTuple):
 
     ``successor[i]`` is the index of the unique element whose extension is
     extension(i) plus i, or None when that lookup is Absent or Multiple;
-    ``predecessor`` likewise for extension(i) minus i.  ``carriers`` maps
-    each extension mask to the indices of the elements that have it, in
-    canonical order.  ``russell_mask`` has a bit per element whose members
-    are exactly the non-self-membered elements; it is expected to be 0 in
-    every universe.
+    ``predecessor`` likewise for extension(i) minus i.  ``russell_mask`` has
+    a bit per element whose members are exactly the non-self-membered
+    elements; it is expected to be 0 in every universe.  The carriers of
+    each extension are not here but in ``Universe.carriers``.
     """
 
     self_mask: int
@@ -93,7 +94,6 @@ class Facts(NamedTuple):
     russell_mask: int
     successor: tuple[int | None, ...]
     predecessor: tuple[int | None, ...]
-    carriers: dict[int, list[int]]
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,12 @@ class Universe:
         if len(set(self.names)) != n:
             raise DuplicateDefinitionError("duplicate element ids in universe")
         full = (1 << n) - 1
-        for name, mask in zip(self.names, self.masks):
-            if mask < 0 or mask & ~full:
-                raise UnknownElementError(
-                    f"extension of {name!r} refers outside the universe"
-                )
+        if self.masks and (min(self.masks) < 0 or max(self.masks) > full):
+            for name, mask in zip(self.names, self.masks):
+                if mask < 0 or mask > full:
+                    raise UnknownElementError(
+                        f"extension of {name!r} refers outside the universe"
+                    )
 
     @classmethod
     def from_extensions(
@@ -153,17 +154,28 @@ class Universe:
     @_cached
     def facts(self) -> Facts:
         """The derived facts, computed on first use and then cached."""
-        carriers: dict[int, list[int]] = {}
+        masks = self.masks
+        # Extension mask -> index of its first carrier, and the masks that
+        # have more than one.
+        first: dict[int, int] = {}
+        shared: set[int] = set()
         self_bits = 0
-        for i, mask in enumerate(self.masks):
-            carriers.setdefault(mask, []).append(i)
+        for i, mask in enumerate(masks):
+            if mask in first:
+                shared.add(mask)
+            else:
+                first[mask] = i
             self_bits |= mask & 1 << i
         nonself = self.all_mask & ~self_bits
         # Target mask -> index of its unique carrier.
-        unique = {mask: at[0] for mask, at in carriers.items() if len(at) == 1}
+        unique = (
+            {mask: i for mask, i in first.items() if mask not in shared}
+            if shared
+            else first
+        )
         lower = upper = 0
         succ, pred = [], []
-        for i, mask in enumerate(self.masks):
+        for i, mask in enumerate(masks):
             bit = 1 << i
             if not mask & self_bits:
                 lower |= bit
@@ -171,11 +183,26 @@ class Universe:
                 upper |= bit
             succ.append(unique.get(mask | bit))
             pred.append(unique.get(mask & ~bit))
-        russell = sum([1 << i for i in carriers.get(nonself, ())])
+        # No element can carry nonself: it would be self-membered exactly
+        # when it is not.  The carrier lists are read only if one does.
+        russell = 0
+        if nonself in first:
+            russell = sum([1 << i for i in self.carriers[nonself]])
         return Facts(
-            self_bits, nonself, lower, upper, russell, tuple(succ), tuple(pred),
-            carriers,
+            self_bits, nonself, lower, upper, russell, tuple(succ), tuple(pred)
         )
+
+    @_cached
+    def carriers(self) -> dict[int, list[int]]:
+        """Each extension mask -> the indices of the elements that have it,
+        in canonical order; computed on first use and then cached."""
+        carriers: dict[int, list[int]] = {}
+        for i, mask in enumerate(self.masks):
+            if mask in carriers:
+                carriers[mask].append(i)
+            else:
+                carriers[mask] = [i]
+        return carriers
 
     def __len__(self) -> int:
         return len(self.names)
@@ -250,7 +277,7 @@ class Universe:
         """The elements whose extension mask is target.  Results are kept by
         first carrier, so coextensive elements share one: a Multiple can
         name hundreds of elements, and each of them looks it up."""
-        at = self.facts.carriers.get(target)
+        at = self.carriers.get(target)
         if not at:
             return Absent()
         found = self._results.get(at[0])

@@ -78,6 +78,13 @@ class TestCheckAxiom:
         with pytest.raises(ValueError):
             check_axiom(QUINE, "equality")
 
+    def test_report_is_a_plain_named_tuple(self):
+        report = check_axiom(QUINE, SUCCESSOR)
+        assert report == (SUCCESSOR, QUINE, report.satisfied)
+        assert not hasattr(report, "__dict__")
+        # per_element is built on each read, and each build is the same.
+        assert report.per_element == report.per_element
+
 
 class TestLemmaSuite:
     def test_all_tags_present_in_order(self):
@@ -550,6 +557,11 @@ class TestTraceChain:
         with pytest.raises(ValueError):
             trace_chain(QUINE, "q", ASCENDING, 0)
 
+    def test_cap_of_one_keeps_only_the_start(self):
+        chain = trace_chain(hf_universe(3), "h0", ASCENDING, 1)
+        assert chain.nodes == ("h0",)
+        assert chain.terminated_by == LENGTH_CAP
+
     def test_direction_must_be_known(self):
         with pytest.raises(ValueError):
             trace_chain(QUINE, "q", "sideways", 4)
@@ -568,6 +580,22 @@ class TestTraceChain:
         )
         with pytest.raises(LemmaViolationError, match="'h0' -> 'h1'"):
             trace_chain(u, "h0", direction, 16)
+
+    @pytest.mark.parametrize(
+        "direction, build, table",
+        [(ASCENDING, hf3, "successor"), (DESCENDING, co_hf3, "predecessor")],
+    )
+    def test_a_planted_step_to_a_non_member_breaks_a_theorem(
+        self, direction, build, table
+    ):
+        # h1 and h0 are distinct and in the same class, but h1 is not a
+        # member of h0 (ascending) and, in the complement, h0 is not a
+        # member of h1 (descending).  A record of h0 as h1's next step makes
+        # the guarded step fail.
+        u = build()
+        u.__dict__["facts"] = u.facts._replace(**points(table, 1, 0)(u.facts))
+        with pytest.raises(LemmaViolationError, match="'h1' -> 'h0'"):
+            trace_chain(u, "h1", direction, 16)
 
     def test_ascending_from_a_lower_grows_extensions(self):
         u = hf_universe(4)

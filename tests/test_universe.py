@@ -1,16 +1,25 @@
+import random
+
 import pytest
 
 from conftest import all_membership_dicts, to_universe
 import oracle
 
 from setlab import (
+    PREDECESSOR,
+    SUCCESSOR,
     Absent,
     DuplicateDefinitionError,
     Multiple,
     Unique,
     Universe,
     UnknownElementError,
+    check_axiom,
+    classify_all,
+    russell_witness,
+    verify_lemma_suite,
 )
+from setlab.universe import Facts
 
 
 def universe(**extensions):
@@ -47,6 +56,31 @@ class TestConstruction:
     def test_order_is_construction_order(self):
         u = universe(q=("q",), e=())
         assert u.names == ("q", "e")
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(
+            UnknownElementError, match="^extension of 'b' refers outside"
+        ):
+            Universe(("a", "b"), (0, -1))
+
+    def test_first_bad_element_is_named(self):
+        # A later element holds the largest or the smallest mask, but b is
+        # the first element in canonical order whose mask leaves the universe.
+        for masks in ((15, 16, 1 << 9, -4), (0, -1, 64, 0)):
+            with pytest.raises(
+                UnknownElementError,
+                match="^extension of 'b' refers outside the universe$",
+            ):
+                Universe(("a", "b", "c", "d"), masks)
+
+    def test_largest_mask_inside_is_accepted(self):
+        u = Universe(("a", "b", "c"), (7, 0, 7))
+        assert u.extension("a") == frozenset("abc")
+
+    def test_empty_universe(self):
+        u = Universe((), ())
+        assert len(u) == 0 and list(u) == [] and u.all_mask == 0
+        assert u.ids(0) == ()
 
 
 class TestExtension:
@@ -144,6 +178,95 @@ class TestAgainstOracle:
                 for y in d:
                     assert u.is_member(x, y) == oracle.is_member(d, x, y)
                     assert u.coextensive(x, y) == oracle.coextensive(d, x, y)
+
+
+def naive_facts(d):
+    """Facts of to_universe(d), straight from the oracle's definitions."""
+    names = sorted(d)
+
+    def bits(xs):
+        return sum(1 << names.index(x) for x in xs)
+
+    def only(ys):
+        return names.index(ys[0]) if len(ys) == 1 else None
+
+    selfs = [x for x in names if oracle.self_membered(d, x)]
+    return Facts(
+        self_mask=bits(selfs),
+        nonself_mask=bits(x for x in names if x not in selfs),
+        lower_mask=bits(x for x in names if oracle.is_lower(d, x)),
+        upper_mask=bits(x for x in names if oracle.is_upper(d, x)),
+        russell_mask=bits(oracle.russell_candidates(d)),
+        successor=tuple(only(oracle.successors(d, x)) for x in names),
+        predecessor=tuple(only(oracle.predecessors(d, x)) for x in names),
+    )
+
+
+def naive_carriers(d):
+    """Extension mask -> indices of its carriers, grouped by the oracle."""
+    names = sorted(d)
+    groups = {}
+    for x in names:
+        group = [i for i, y in enumerate(names) if oracle.coextensive(d, x, y)]
+        groups[sum(1 << names.index(z) for z in d[x])] = group
+    return groups
+
+
+def planted(rng, n):
+    """A random universe over n >= 5 elements in which some element a that
+    is not self-membered has a group of at least 2 coextensive elements as
+    its successor target and a group of at least 3 (a among them) as its
+    predecessor target."""
+    names = [f"e{i}" for i in range(n)]
+    d = {x: {y for y in names if rng.random() < 0.3} for x in names}
+    a, b, c, q, r = rng.sample(names, 5)
+    d[a].discard(a)
+    d[b] = d[a] | {a}
+    d[c] = set(d[b])
+    d[q] = set(d[a])
+    d[r] = set(d[a])
+    return d, a
+
+
+def facts_cases():
+    for n in range(4):
+        yield from all_membership_dicts(n)
+    rng = random.Random(19)
+    for n, count in ((6, 400), (40, 40)):
+        for _ in range(count):
+            yield planted(rng, n)[0]
+
+
+class TestFacts:
+    def test_planted_groups_are_where_they_claim(self):
+        rng = random.Random(5)
+        for n in (6, 40):
+            d, a = planted(rng, n)
+            assert len(oracle.successors(d, a)) >= 2
+            assert len(oracle.predecessors(d, a)) >= 3
+
+    def test_facts_match_naive_recomputation(self):
+        for d in facts_cases():
+            assert to_universe(d).facts == naive_facts(d), d
+
+    def test_carriers_match_oracle_grouping(self):
+        for d in facts_cases():
+            assert to_universe(d).carriers == naive_carriers(d), d
+
+    def test_sweep_calls_leave_carriers_unbuilt(self):
+        # The audit, the classifier and the lemma suite read the index tables
+        # only; the carrier lists are built for a name-level lookup.
+        for d in facts_cases():
+            u = to_universe(d)
+            check_axiom(u, SUCCESSOR)
+            check_axiom(u, PREDECESSOR)
+            classify_all(u)
+            russell_witness(u)
+            verify_lemma_suite(u)
+            assert "carriers" not in u.__dict__
+            if u.names:
+                u.successor_in(u.names[0])
+                assert "carriers" in u.__dict__
 
 
 def _as_list(result):

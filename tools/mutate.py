@@ -39,7 +39,11 @@ PACKAGE = Path("src") / "setlab"
 TARGETS = (
     ("audit.py", "verify_lemma_suite"),
     ("audit.py", "_clean_report"),
+    ("universe.py", "Universe.__post_init__"),
     ("universe.py", "Universe.facts"),
+    ("universe.py", "Universe.carriers"),
+    ("interp.py", "BaseModel.world"),
+    ("audit.py", "trace_chain"),
     ("dsl.py", "_tokenize"),
     ("dsl.py", "_check_line"),
     ("dsl.py", "parse_document"),
