@@ -87,8 +87,8 @@ def _classifications(
 def comprehension_witness(u: Universe, target: int) -> ElementId | None:
     """Least element (canonical order) whose members are exactly the
     elements in target, a member mask (bit i for the i-th element), if any."""
-    at = u.carriers.get(target)
-    return u.names[at[0]] if at else None
+    ids = u.carriers.get(target)
+    return ids[0] if ids else None
 
 
 def russell_witness(u: Universe) -> ElementId | None:

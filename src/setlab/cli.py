@@ -5,8 +5,9 @@ human-readable text by default or, with --format json, one JSON document
 led by a ``command`` echo; both are byte-identical across runs on the same
 inputs.  ``_emit`` prints every report and returns its exit code: 0 on
 success, 1 for a lemma violation, a failed demo check, or an unsatisfied
-axiom under --require.  ``main`` exits 2 for usage and parse errors, 130
-(128 + SIGINT) on Ctrl-C, 141 (128 + SIGPIPE) when stdout's reader leaves.
+axiom under --require.  ``main`` exits 2 for usage and parse errors and for
+a report that stdout cannot encode, 130 (128 + SIGINT) on Ctrl-C, 141
+(128 + SIGPIPE) when stdout's reader leaves.
 """
 
 from __future__ import annotations
@@ -498,7 +499,7 @@ def main(argv=None) -> int:
     except LemmaViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SetlabError, OSError) as exc:
+    except (SetlabError, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

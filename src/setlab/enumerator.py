@@ -7,12 +7,11 @@ That makes runs reproducible and the counter range partitionable.  Every
 filter is a test on the universe's cached facts (``Universe.facts``).
 With dedupe, each isomorphism class is represented by its least code: the
 one no relabelling of the elements makes smaller.  Those codes are made by
-orderly generation (Read, "Every one a winner", 1978) instead of testing all
-2^(n*n) codes: rows are filled from the most significant down, and a prefix
-that some relabelling already makes smaller is never completed.  On a 2-vCPU
-x86-64 VM with Python 3.11 the n=4 pass of the ``dedupe-n4`` benchmark fell
-from 0.174 to 0.066 s, and the 291,968 n=5 classes take about 2.5 s instead
-of about 90 s.
+orderly generation (Read, "Every one a winner", 1978), so not all 2^(n*n)
+codes are visited: rows are filled from the most significant down, and a
+prefix that some relabelling already makes smaller is never completed.  On
+a 2-vCPU x86-64 VM with Python 3.11 the n=4 pass of the ``dedupe-n4``
+benchmark takes about 0.04 s, and the 291,968 n=5 classes about 2.5 s.
 """
 
 from __future__ import annotations

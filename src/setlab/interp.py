@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .audit import DESCENDING, Chain, LENGTH_CAP
@@ -49,7 +48,7 @@ from .errors import (
     UnknownElementError,
     UntaggedUrelementWarning,
 )
-from .universe import ElementId, Universe, hf_universe
+from .universe import ElementId, Universe, _cached, hf_universe
 
 LEVEL_ZERO = 0
 LEVEL_ONE = 1
@@ -154,23 +153,23 @@ class BaseModel:
         tags = tuple(sorted((tagging or {}).items(), key=lambda item: item[1]))
         return cls(base=base, urelements=tuple(urelements), tags=tags)
 
-    @cached_property
+    @_cached
     def entities(self) -> tuple[ElementId, ...]:
         return self.base.names + self.urelements
 
-    @cached_property
+    @_cached
     def _pool(self) -> frozenset[ElementId]:
         return frozenset(self.urelements)
 
-    @cached_property
+    @_cached
     def _tag_by_bearer(self) -> dict[ElementId, Index]:
         return {bearer: index for index, bearer in self.tags}
 
-    @cached_property
+    @_cached
     def _bearer_by_index(self) -> dict[Index, ElementId]:
         return {index: bearer for index, bearer in self.tags}
 
-    @cached_property
+    @_cached
     def world(self) -> Universe:
         """The interpreted relation as a universe over the entities, built
         once: base rows as in the base, a tagged urelement's row its listed

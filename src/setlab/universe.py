@@ -13,12 +13,12 @@ iteration, which keeps every derived report byte-reproducible.  What the
 classifier, the audit and the enumerator's filters derive from a universe
 (self-membered, lower and upper masks, the Russell set, successor and
 predecessor tables) is computed once per universe and cached in
-``Universe.facts``, which holds index tables only.  The carrier lists of
-each extension (``Universe.carriers``) are a second cached table, built only
-when a name-level lookup (``successor_in``, ``predecessor_in``) or a
-comprehension witness first asks for them; lookup results are then built one
-per group of coextensive elements.  ``hf_universe`` builds the hereditarily
-finite worlds.
+``Universe.facts``, which holds index tables only.  Name-level results read
+one second cached table, ``Universe.carriers``: each extension mask with the
+names of the elements that have it.  It is built only when a lookup
+(``successor_in``, ``predecessor_in``) or a comprehension witness first asks
+for it, and no lookup result is kept beside it.  ``hf_universe`` builds the
+hereditarily finite worlds.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ ElementId = str
 
 
 class _cached:
-    """Like functools.cached_property, without its lock (Python < 3.12 takes
-    one on every first access): the first access stores the value in the
-    instance's __dict__, which then shadows this non-data descriptor.  The
-    cached computations are idempotent, so a race stores equal values."""
+    """A lazily computed attribute, without a lock (the standard library's
+    cached property takes one on every first access before Python 3.12):
+    the first access stores the value in the instance's __dict__, which then
+    shadows this non-data descriptor.  The cached computations are
+    idempotent, so a race stores equal values."""
 
     def __init__(self, func):
         self.func = func
@@ -184,25 +185,22 @@ class Universe:
             succ.append(unique.get(mask | bit))
             pred.append(unique.get(mask & ~bit))
         # No element can carry nonself: it would be self-membered exactly
-        # when it is not.  The carrier lists are read only if one does.
+        # when it is not.  The masks are scanned only if one does.
         russell = 0
         if nonself in first:
-            russell = sum([1 << i for i in self.carriers[nonself]])
+            russell = sum([1 << i for i, mask in enumerate(masks) if mask == nonself])
         return Facts(
             self_bits, nonself, lower, upper, russell, tuple(succ), tuple(pred)
         )
 
     @_cached
-    def carriers(self) -> dict[int, list[int]]:
-        """Each extension mask -> the indices of the elements that have it,
+    def carriers(self) -> dict[int, tuple[ElementId, ...]]:
+        """Each extension mask -> the names of the elements that have it,
         in canonical order; computed on first use and then cached."""
-        carriers: dict[int, list[int]] = {}
-        for i, mask in enumerate(self.masks):
-            if mask in carriers:
-                carriers[mask].append(i)
-            else:
-                carriers[mask] = [i]
-        return carriers
+        groups: dict[int, list[ElementId]] = {}
+        for name, mask in zip(self.names, self.masks):
+            groups.setdefault(mask, []).append(name)
+        return {mask: tuple(ids) for mask, ids in groups.items()}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -269,25 +267,15 @@ class Universe:
         i = self.index(x)
         return self._lookup(self.masks[i] & ~(1 << i))
 
-    @_cached
-    def _results(self) -> dict[int, LookupResult]:
-        return {}
-
     def _lookup(self, target: int) -> LookupResult:
-        """The elements whose extension mask is target.  Results are kept by
-        first carrier, so coextensive elements share one: a Multiple can
-        name hundreds of elements, and each of them looks it up."""
-        at = self.carriers.get(target)
-        if not at:
+        """The elements whose extension mask is target, read off the carrier
+        table.  A Multiple wraps the table's own tuple, so the results of
+        coextensive elements share one: a Multiple can name hundreds of
+        elements, and each of them looks it up."""
+        ids = self.carriers.get(target)
+        if not ids:
             return Absent()
-        found = self._results.get(at[0])
-        if found is None:
-            if len(at) == 1:
-                found = Unique(self.names[at[0]])
-            else:
-                found = Multiple(tuple(map(self.names.__getitem__, at)))
-            self._results[at[0]] = found
-        return found
+        return Unique(ids[0]) if len(ids) == 1 else Multiple(ids)
 
 
 # Element counts of the hereditarily finite worlds by rank: rank 0 is the

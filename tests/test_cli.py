@@ -401,6 +401,36 @@ class TestErrors:
         proc.stderr.close()
         return first, proc.wait(timeout=60), err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("check",), 2),
+            (("classify",), 2),
+            (("verify",), 2),
+            (("check", "--format", "json"), 0),
+        ],
+        ids=["check", "classify", "verify", "check-json"],
+    )
+    def test_report_stdout_cannot_encode(self, tmp_path, argv, code):
+        # The text reports echo the file name; the JSON report escapes it.
+        path = tmp_path / "caf\u00e9.uni"
+        path.write_text(QUINE)
+        src = os.path.dirname(os.path.dirname(setlab.__file__))
+        script = "import sys; from setlab.cli import main; sys.exit(main())"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, argv[0], str(path), *argv[1:]],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii"),
+            timeout=60,
+        )
+        assert proc.returncode == code
+        if code == 2:
+            assert proc.stdout == b""
+            assert proc.stderr.startswith(b"error: 'ascii' codec can't encode")
+            assert proc.stderr.count(b"\n") == 1
+        else:
+            assert proc.stdout.startswith(b"{") and proc.stderr == b""
+
     def test_reader_closing_early_exits_141_silently(self, tmp_path):
         # Far more than a pipe buffer holds, so the writer is still
         # writing when the reader goes away.

@@ -363,6 +363,11 @@ class TestMaterialize:
         for name in ("ur1", "ur2", "ur7"):
             assert world.extension(name) == frozenset()
 
+    def test_each_model_builds_its_world_once(self):
+        model = default_demo_model()
+        assert "world" not in model.__dict__
+        assert materialize(model) is materialize(model) is model.__dict__["world"]
+
 
 MODEL_SOURCE = """\
 # two-level base plus a tagged pool

@@ -23,6 +23,13 @@ def test_every_target_resolves_and_has_a_mutant():
         assert next(mutate.mutants(source, qualname), None) is not None, qualname
 
 
+def test_every_target_module_has_its_own_test_file():
+    # Each mutant runs that file first; a missing file would fail the run
+    # and count every mutant of the module as killed.
+    for module, _ in mutate.TARGETS:
+        assert (ROOT / mutate.module_tests(module)).is_file(), module
+
+
 def test_a_failing_unmutated_run_names_its_test(tmp_path, capsys):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_planted.py").write_text(

@@ -157,10 +157,11 @@ class TestPredecessor:
 
     def test_coextensive_elements_share_one_result(self):
         # k coextensive elements each look up the same k names: one shared
-        # result keeps that linear rather than quadratic.
+        # tuple of names keeps that linear rather than quadratic.
         u = universe(a=(), b=(), c=())
-        assert u.predecessor_in("a") is u.predecessor_in("b")
-        assert u.predecessor_in("c") is u.predecessor_in("a")
+        results = [u.predecessor_in(x) for x in "abc"]
+        assert results == [Multiple(("a", "b", "c"))] * 3
+        assert results[0].ids is results[1].ids is results[2].ids
 
 
 class TestAgainstOracle:
@@ -178,6 +179,15 @@ class TestAgainstOracle:
                 for y in d:
                     assert u.is_member(x, y) == oracle.is_member(d, x, y)
                     assert u.coextensive(x, y) == oracle.coextensive(d, x, y)
+
+    def test_lookups_on_facts_cases(self):
+        # Every universe with n <= 3, and the planted groups of 2 and 3 or
+        # more coextensive elements at n=6 and n=40.
+        for d in facts_cases():
+            u = to_universe(d)
+            for x in d:
+                assert _as_list(u.successor_in(x)) == oracle.successors(d, x), d
+                assert _as_list(u.predecessor_in(x)) == oracle.predecessors(d, x), d
 
 
 def naive_facts(d):
@@ -203,11 +213,11 @@ def naive_facts(d):
 
 
 def naive_carriers(d):
-    """Extension mask -> indices of its carriers, grouped by the oracle."""
+    """Extension mask -> names of its carriers, grouped by the oracle."""
     names = sorted(d)
     groups = {}
     for x in names:
-        group = [i for i, y in enumerate(names) if oracle.coextensive(d, x, y)]
+        group = tuple(y for y in names if oracle.coextensive(d, x, y))
         groups[sum(1 << names.index(z) for z in d[x])] = group
     return groups
 

@@ -3,10 +3,13 @@
 Copies src/, tests/, tools/, pyproject.toml and README.md (a test runs its
 example model) to a temporary directory.
 For each mutant of a target function it rewrites that one function in the
-copy, runs ``pytest -q -x`` there, and counts the mutant as killed (the
-tests fail or time out) or surviving.  Mutant runs are quiet; when the
-unmutated suite fails, the tail of pytest's output goes to stderr.  The
-checkout itself is never written.
+copy, runs ``pytest -q -x`` there on the module's own test file
+(``tests/test_<module>.py``) and, only if that passes, on the whole suite,
+and counts the mutant as killed (the tests fail or time out) or surviving.
+The whole suite contains the module's file, so the verdicts are those of
+whole-suite runs; most mutants die in the shorter one.  Mutant runs are
+quiet; when the unmutated suite fails, the tail of pytest's output goes to
+stderr.  The checkout itself is never written.
 
     python tools/mutate.py              # every target
     python tools/mutate.py _json        # the target named _json
@@ -41,7 +44,8 @@ TARGETS = (
     ("audit.py", "_clean_report"),
     ("universe.py", "Universe.__post_init__"),
     ("universe.py", "Universe.facts"),
-    ("universe.py", "Universe.carriers"),
+    ("universe.py", "Universe._lookup"),
+    ("classifier.py", "comprehension_witness"),
     ("interp.py", "BaseModel.world"),
     ("audit.py", "trace_chain"),
     ("dsl.py", "_tokenize"),
@@ -162,13 +166,22 @@ def splice(source: str, qualname: str, text: str) -> str:
     )
 
 
-def run_tests(work: Path, timeout: float, report: bool = False) -> bool:
-    """Whether the test suite passes in work.  With report, a failed run
-    prints the tail of pytest's output (its short test summary) to stderr."""
+def module_tests(module: str) -> str:
+    """The test file of a package module, relative to the work directory."""
+    return f"tests/test_{Path(module).stem}.py"
+
+
+def run_tests(
+    work: Path, timeout: float, report: bool = False, tests: str = "tests"
+) -> bool:
+    """Whether the tests (a file or directory under work) pass there.  With
+    report, a failed run prints the tail of pytest's output (its short test
+    summary) to stderr."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(work / "src"))
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+            + [tests],
             cwd=work,
             env=env,
             stdout=subprocess.PIPE if report else subprocess.DEVNULL,
@@ -223,7 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         for n, (module, qualname, line, what, text, source) in enumerate(plan, 1):
             path = work / PACKAGE / module
             path.write_text(splice(source, qualname, text), encoding="utf-8")
-            killed = not run_tests(work, timeout)
+            own = run_tests(work, timeout, tests=module_tests(module))
+            killed = not (own and run_tests(work, timeout))
             path.write_text(source, encoding="utf-8")
             verdict = "killed" if killed else "SURVIVED"
             where = f"{module}:{line} {qualname}: {what}"
