@@ -215,7 +215,6 @@ def verify_lemma_suite(u: Universe) -> LemmaReport:
             upper_ends |= mask & uppers | bit
     lower_succ, upper_succ = lowers & s_pair, uppers & s_pair
     lower_pred, upper_pred = lowers & p_pair, uppers & p_pair
-    russell = facts.russell_mask
 
     # Per part of _PARTS, the elements meeting its hypotheses where its
     # conclusion fails.
@@ -228,8 +227,9 @@ def verify_lemma_suite(u: Universe) -> LemmaReport:
         lower_ends & upper_ends,
         lower_succ & (s_same | ~s_x_in | ~s_lower),
         upper_pred & (p_same | ~p_y_in | ~p_upper),
-        # A Russell set x would have to be self-membered and not.
-        russell & ~(self_ & nonself),
+        # A Russell set is a lower and an upper at once, so restated fails
+        # on exactly C-not-both's elements and has no case of its own.
+        lowers & uppers,
     )
     # A statement holds if any of its parts has a case (bit k for
     # LEMMA_TAGS[k]); link disjointness needs both kinds of link.
@@ -240,7 +240,6 @@ def verify_lemma_suite(u: Universe) -> LemmaReport:
         | (s_pair != 0) << 5 | some_lower_succ << 6 | some_lower_succ << 7
         | some_upper_pred << 8 | some_upper_pred << 9 | some_upper_pred << 10
         | (lower_succ | upper_pred | (lower_ends and upper_ends) != 0) << 11
-        | (russell != 0) << 12
     )
     if not any(bad):
         return _clean_report(holds)

@@ -3,13 +3,14 @@
 A "lower" has only non-self-membered members; an "upper" contains every
 non-self-membered element of its universe.  Nothing can be both, which is
 the finite-universe face of the Russell paradox; the witness searches below
-exist to confirm that emptiness mechanically.  Both classes, the Russell
-set and the comprehension witnesses are read off tables each universe
-computes once and caches (``Universe.facts``, and ``Universe.carriers`` for
-the witnesses).  ``classify_all`` returns one shared tuple per distinct
-names and masks.  An element classified as both raises
-LemmaViolationError, on every call: the message naming it is built only for
-that violation, and no failed classification is kept.
+exist to confirm that emptiness mechanically.  The Russell set is by
+definition lower and upper at once, so it is read as ``lower_mask &
+upper_mask``.  Both classes and the comprehension witnesses are read off
+tables each universe computes once and caches (``Universe.facts``, and
+``Universe.carriers`` for the witnesses).  ``classify_all`` returns one
+shared tuple per distinct names and masks.  An element classified as both
+raises LemmaViolationError, on every call: the message naming it is built
+only for that violation, and no failed classification is kept.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def is_upper(u: Universe, x: ElementId) -> bool:
 def is_strictly_russellian(u: Universe, x: ElementId) -> bool:
     """True iff x is both a lower and an upper, i.e. its members are exactly
     the non-self-membered elements.  Expected false everywhere."""
-    return bool(u.facts.russell_mask >> u.index(x) & 1)
+    f = u.facts
+    return bool((f.lower_mask & f.upper_mask) >> u.index(x) & 1)
 
 
 def classify(u: Universe, x: ElementId) -> Classification:
@@ -95,5 +97,6 @@ def russell_witness(u: Universe) -> ElementId | None:
     """Least element whose members are exactly the non-self-membered
     elements.  Its existence would be a contradiction, so this is expected
     to return None on every universe."""
-    russell = u.facts.russell_mask
+    f = u.facts
+    russell = f.lower_mask & f.upper_mask
     return u.names[(russell & -russell).bit_length() - 1] if russell else None

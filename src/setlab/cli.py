@@ -164,9 +164,7 @@ def _cmd_classify(args) -> int:
                 "lower": row.lower,
                 "upper": row.upper,
                 "self_membered": row.self_membered,
-                "strictly_russellian": classifier.is_strictly_russellian(
-                    u, row.element
-                ),
+                "strictly_russellian": row.lower and row.upper,
             }
             for row in rows
         ],

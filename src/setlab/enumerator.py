@@ -39,7 +39,7 @@ FILTERS: dict[str, Callable[[Universe], bool]] = {
     ),
     "has-upper": lambda u: u.facts.upper_mask != 0,
     "has-lower": lambda u: u.facts.lower_mask != 0,
-    "has-strictly-russellian": lambda u: u.facts.russell_mask != 0,
+    "has-strictly-russellian": lambda u: u.facts.lower_mask & u.facts.upper_mask != 0,
 }
 
 

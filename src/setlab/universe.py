@@ -11,14 +11,15 @@ algebra runs on machine words while the semantic contract stays "plain
 finite sets".  The canonical order is fixed at construction and drives all
 iteration, which keeps every derived report byte-reproducible.  What the
 classifier, the audit and the enumerator's filters derive from a universe
-(self-membered, lower and upper masks, the Russell set, successor and
-predecessor tables) is computed once per universe and cached in
-``Universe.facts``, which holds index tables only.  Name-level results read
-one second cached table, ``Universe.carriers``: each extension mask with the
-names of the elements that have it.  It is built only when a lookup
-(``successor_in``, ``predecessor_in``) or a comprehension witness first asks
-for it, and no lookup result is kept beside it.  ``hf_universe`` builds the
-hereditarily finite worlds.
+(self-membered, lower and upper masks, successor and predecessor tables)
+is computed once per universe and cached in ``Universe.facts``, which holds
+index tables only.  The Russell set is not stored: by definition it is
+lower and upper at once, ``lower_mask & upper_mask``.  Name-level results
+read one second cached table, ``Universe.carriers``: each extension mask
+with the names of the elements that have it.  It is built only when a
+lookup (``successor_in``, ``predecessor_in``) or a comprehension witness
+first asks for it, and no lookup result is kept beside it.  ``hf_universe``
+builds the hereditarily finite worlds.
 """
 
 from __future__ import annotations
@@ -82,9 +83,7 @@ class Facts(NamedTuple):
 
     ``successor[i]`` is the index of the unique element whose extension is
     extension(i) plus i, or None when that lookup is Absent or Multiple;
-    ``predecessor`` likewise for extension(i) minus i.  ``russell_mask`` has
-    a bit per element whose members are exactly the non-self-membered
-    elements; it is expected to be 0 in every universe.  The carriers of
+    ``predecessor`` likewise for extension(i) minus i.  The carriers of
     each extension are not here but in ``Universe.carriers``.
     """
 
@@ -92,7 +91,6 @@ class Facts(NamedTuple):
     nonself_mask: int
     lower_mask: int
     upper_mask: int
-    russell_mask: int
     successor: tuple[int | None, ...]
     predecessor: tuple[int | None, ...]
 
@@ -184,14 +182,7 @@ class Universe:
                 upper |= bit
             succ.append(unique.get(mask | bit))
             pred.append(unique.get(mask & ~bit))
-        # No element can carry nonself: it would be self-membered exactly
-        # when it is not.  The masks are scanned only if one does.
-        russell = 0
-        if nonself in first:
-            russell = sum([1 << i for i, mask in enumerate(masks) if mask == nonself])
-        return Facts(
-            self_bits, nonself, lower, upper, russell, tuple(succ), tuple(pred)
-        )
+        return Facts(self_bits, nonself, lower, upper, tuple(succ), tuple(pred))
 
     @_cached
     def carriers(self) -> dict[int, tuple[ElementId, ...]]:

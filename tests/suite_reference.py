@@ -69,7 +69,7 @@ def reference_lemma_suite(u):
     lower_pred, upper_pred = lowers & p_pair, uppers & p_pair
     lower_ends = _link_endpoints(masks, lowers)
     upper_ends = _link_endpoints(masks, uppers)
-    russell = facts.russell_mask
+    russell = lowers & uppers
 
     # Per part: its statement, the table whose entry follows the bad element
     # in a witness, the elements meeting its hypotheses and those among them

@@ -245,17 +245,19 @@ class TestSharedReports:
         row = status_row(verify_lemma_suite(clean))
         u = universe(**extensions)
         # t and w are coextensive self-membered uppers; a record that also
-        # makes them lowers breaks three statements, first at t.
+        # makes them lowers breaks four statements, first at t.
         u.__dict__["facts"] = u.facts._replace(
             lower_mask=u.facts.lower_mask | u.bit("t") | u.bit("w")
         )
         report = verify_lemma_suite(u)
         # Read without its violations, the row is the clean universe's, which
-        # the table already holds.
-        assert status_row(report).replace("X", "H") == row
+        # the table already holds; there restated, the last statement, has no
+        # case of its own and is vacuous.
+        assert row[-1] == "V"
+        assert status_row(report).replace("X", "H") == row[:-1] + "H"
         assert report.violations == tuple(
             (tag, Verdict(VIOLATED, ("t",)))
-            for tag in ("L-lower-not-self", "C-not-both", "main-result")
+            for tag in ("L-lower-not-self", "C-not-both", "main-result", "restated")
         )
         assert verify_lemma_suite(clean) is verify_lemma_suite(clean)
         assert verify_lemma_suite(clean).ok
@@ -425,16 +427,15 @@ PLANTED = [
         "main-result", co_hf3, flips("upper_mask", 1), ("h0", "h1"),
         id="main-result-descends-to-a-non-upper",
     ),
-    pytest.param(
-        "restated", hf3, flips("russell_mask", 0), ("h0",), id="restated"
-    ),
+    # h0 becomes an upper too, so it is recorded as a lower and an upper.
+    pytest.param("restated", hf3, flips("upper_mask", 0), ("h0",), id="restated"),
 ]
 
 
 class TestPlantedFacts:
     """Each failure check fires: one lying entry in a universe's facts makes
     its statement violated, with the lie's element and its table entry as
-    the witness.  Lying facts are also the only way to make restated hold."""
+    the witness."""
 
     @pytest.mark.parametrize(
         "tag, build, lie, witness",
@@ -446,17 +447,29 @@ class TestPlantedFacts:
         u.__dict__["facts"] = u.facts._replace(**lie(u.facts))
         assert verify_lemma_suite(u).verdict(tag) == Verdict(VIOLATED, witness)
 
-    def test_restated_holds_for_a_russell_set_recorded_both_ways(self):
-        # No universe has a Russell set, so restated holds only on lying
-        # facts: here q, neither lower nor upper, is recorded as a Russell
-        # set and as both self-membered and not, which breaks nothing.
-        u = universe(e=(), q=("q",))
-        u.__dict__["facts"] = u.facts._replace(
-            russell_mask=u.bit("q"), nonself_mask=u.facts.nonself_mask | u.bit("q")
-        )
-        report = verify_lemma_suite(u)
-        assert report.ok and report.verdict("restated") == Verdict(HOLDS)
-        assert repr(report) == repr(reference_lemma_suite(u))
+    def test_restated_is_violated_exactly_where_c_not_both_is(self):
+        # The Russell set is lower and upper at once: restated has no case of
+        # its own, so it never holds, and it fails with C-not-both's witness.
+        lied = [(param.values[1](), param.values[2]) for param in PLANTED]
+        for n in (6, 40):
+            rng = random.Random(n)
+            for _ in range(500):
+                u = random_universe(rng, n)
+                lied.append((u, random_lie(rng, u)))
+        violated = 0
+        for u, lie in lied:
+            u.__dict__["facts"] = u.facts._replace(**lie(u.facts))
+            report = verify_lemma_suite(u)
+            restated = report.verdict("restated")
+            not_both = report.verdict("C-not-both")
+            assert restated.status != HOLDS
+            if not_both.status == VIOLATED:
+                assert restated == not_both
+                violated += 1
+            else:
+                assert restated == Verdict(VACUOUS)
+        # 88 of the 1,021 lies record some element as both.
+        assert violated > 50
 
 
 def random_universe(rng, n):
@@ -479,9 +492,7 @@ def random_lie(rng, u):
     if rng.random() < 0.5:
         table = rng.choice(("successor", "predecessor"))
         return points(table, i, rng.randrange(len(u)))
-    mask = rng.choice(
-        ("self_mask", "nonself_mask", "lower_mask", "upper_mask", "russell_mask")
-    )
+    mask = rng.choice(("self_mask", "nonself_mask", "lower_mask", "upper_mask"))
     return flips(mask, i)
 
 

@@ -107,6 +107,17 @@ class TestRussellWitness:
                 assert russell_witness(u) is None
                 assert oracle.russell_candidates(d) == []
 
+    def test_reads_the_elements_recorded_as_lower_and_upper(self):
+        # No universe has a Russell set, so only a lying record shows which
+        # elements the witness search reads: those recorded as both.
+        u = universe(a=(), b=("a",), top=("a", "b", "top"))
+        u.__dict__["facts"] = u.facts._replace(
+            lower_mask=u.facts.lower_mask | u.bit("top"),
+            upper_mask=u.facts.upper_mask | u.bit("b"),
+        )
+        assert russell_witness(u) == "b"
+        assert [is_strictly_russellian(u, x) for x in u.names] == [False, True, True]
+
 
 class TestComprehensionWitness:
     def test_constantly_false_finds_the_empty_set(self):

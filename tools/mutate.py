@@ -46,6 +46,8 @@ TARGETS = (
     ("universe.py", "Universe.facts"),
     ("universe.py", "Universe._lookup"),
     ("classifier.py", "comprehension_witness"),
+    ("classifier.py", "is_strictly_russellian"),
+    ("classifier.py", "russell_witness"),
     ("interp.py", "BaseModel.world"),
     ("audit.py", "trace_chain"),
     ("dsl.py", "_tokenize"),
