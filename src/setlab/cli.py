@@ -360,7 +360,7 @@ def _demo_upperchain(args, model: interp.BaseModel) -> int:
     universal = interp.find_universal(result.model)
     rows = []
     previous = universal
-    for node in result.chain.nodes:
+    for node in result.nodes:
         rows.append(
             {
                 "entity": node,
@@ -378,13 +378,13 @@ def _demo_upperchain(args, model: interp.BaseModel) -> int:
         "demo": "upperchain",
         "k": args.k,
         "universal": universal,
-        "nodes": result.chain.nodes,
+        "nodes": result.nodes,
         "steps": rows,
         "ok": ok,
     }
     lines = [
         f"demo: upperchain k={args.k}",
-        f"chain descending from {universal}: " + " -> ".join(result.chain.nodes),
+        f"chain descending from {universal}: " + " -> ".join(result.nodes),
     ]
     for row in rows:
         lines.append(

@@ -168,14 +168,15 @@ def enumerate_universes(
     return EnumStats(total=total, matching=matching, sample_witnesses=tuple(witnesses))
 
 
-def canonical_form(u: Universe, max_n: int = DEFAULT_MAX_N) -> bytes:
+def canonical_form(u: Universe) -> bytes:
     """Canonical byte encoding, equal for two universes iff they are
     isomorphic as unlabeled membership digraphs.  Factorial search; refused
-    above max_n elements."""
+    above DEFAULT_MAX_N elements."""
     n = len(u)
-    if n > max_n:
+    if n > DEFAULT_MAX_N:
         raise CapExceededError(
-            f"canonical form of a {n}-element universe exceeds the cap of {max_n}"
+            f"canonical form of a {n}-element universe exceeds the cap of "
+            f"{DEFAULT_MAX_N}"
         )
     best = min(
         _relabelled_code(u.masks, order, column, n)

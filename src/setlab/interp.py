@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .audit import DESCENDING, Chain, LENGTH_CAP
 from .dsl import Index, UniverseDoc, parse_document
 from .errors import (
     CollisionError,
@@ -382,10 +381,11 @@ def verify_forster_counterexample(model: BaseModel) -> ForsterReport:
 
 @dataclass(frozen=True)
 class UpperChainResult:
-    """A freshly tagged descending chain plus the model that carries it."""
+    """A freshly tagged model plus its descending chain of uppers below the
+    universal set, each node the interpreted predecessor of the one before."""
 
     model: BaseModel
-    chain: Chain
+    nodes: tuple[ElementId, ...]
 
 
 def upper_chain_interp(model: BaseModel, k: int) -> UpperChainResult:
@@ -411,8 +411,7 @@ def upper_chain_interp(model: BaseModel, k: int) -> UpperChainResult:
             raise CollisionError(f"index for chain step {i} is already tagged")
         tagging[index] = bearer
         removed.append(bearer)
-    chain = Chain(DESCENDING, tuple(removed[1:]), LENGTH_CAP)
-    return UpperChainResult(model=model.retag(tagging), chain=chain)
+    return UpperChainResult(model=model.retag(tagging), nodes=tuple(removed[1:]))
 
 
 def quine_universe() -> Universe:
@@ -420,12 +419,10 @@ def quine_universe() -> Universe:
     return Universe.from_extensions({"e": (), "q": ("q",)})
 
 
-def default_demo_model(pool_size: int = 8) -> BaseModel:
-    """Base world of the four hereditarily finite sets of rank below 2 plus a
-    urelement pool, with the first urelement tagged as the universal set."""
-    if pool_size < 1:
-        raise ValueError("pool_size must be at least 1")
-    pool = tuple(f"ur{i}" for i in range(pool_size))
+def default_demo_model() -> BaseModel:
+    """Base world of the four hereditarily finite sets of rank below 2 plus
+    the urelement pool ur0 .. ur7, with ur0 tagged as the universal set."""
+    pool = tuple(f"ur{i}" for i in range(8))
     return BaseModel.build(hf_universe(2), pool, {universal_index(): pool[0]})
 
 

@@ -270,14 +270,14 @@ class Universe:
 
 
 # Element counts of the hereditarily finite worlds by rank: rank 0 is the
-# empty world and each next rank is the powerset of the previous one.
+# empty world and each next rank is the powerset of the previous one.  Rank 5
+# is the cap: rank 6 would have 2^65536 elements.
 HF_SIZES = (0, 1, 2, 4, 16, 65536)
-HF_HARD_CAP = 5
 
 
-def hf_universe(rank: int, max_rank: int = 4) -> Universe:
+def hf_universe(rank: int) -> Universe:
     """The universe of hereditarily finite sets of rank below the given
-    bound, with actual set membership as the relation.
+    bound (0 to 5), with actual set membership as the relation.
 
     Element h<i> encodes the set whose members are exactly the h<j> with bit
     j of i set; h0 is the empty set.  With that encoding the elements of
@@ -287,10 +287,8 @@ def hf_universe(rank: int, max_rank: int = 4) -> Universe:
     """
     if rank < 0:
         raise ValueError("rank must be non-negative")
-    if rank > min(max_rank, HF_HARD_CAP):
-        raise CapExceededError(
-            f"rank {rank} exceeds the cap of {min(max_rank, HF_HARD_CAP)}"
-        )
+    if rank >= len(HF_SIZES):
+        raise CapExceededError(f"rank {rank} exceeds the cap of {len(HF_SIZES) - 1}")
     size = HF_SIZES[rank]
     names = tuple(f"h{i}" for i in range(size))
     return Universe(names, tuple(range(size)))

@@ -148,8 +148,8 @@ def test_criterion_7_descending_chain():
     result = upper_chain_interp(default_demo_model(), 3)
     world = materialize(result.model)
     previous = "ur0"
-    steps_ok = len(result.chain.nodes) == 3
-    for node in result.chain.nodes:
+    steps_ok = len(result.nodes) == 3
+    for node in result.nodes:
         steps_ok = steps_ok and (
             is_upper(world, node)
             and node != previous

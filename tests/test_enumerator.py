@@ -200,7 +200,7 @@ class TestCanonicalForm:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            canonical_form(hf_universe(4), max_n=5)
+            canonical_form(hf_universe(4))
 
     @given(universes())
     def test_matches_the_oracle(self, u):
@@ -245,9 +245,9 @@ class TestHfUniverse:
                 assert not isinstance(result, Unique)
 
     def test_rank_cap(self):
-        with pytest.raises(CapExceededError):
-            hf_universe(5)
-        assert len(hf_universe(5, max_rank=5)) == 65536
+        with pytest.raises(CapExceededError, match="^rank 6 exceeds the cap of 5$"):
+            hf_universe(6)
+        assert len(hf_universe(5)) == 65536
 
     def test_negative_rank(self):
         with pytest.raises(ValueError):

@@ -283,7 +283,7 @@ class TestForsterReport:
 class TestUpperChain:
     def test_single_step_is_the_universal_predecessor(self):
         result = upper_chain_interp(default_demo_model(), 1)
-        (node,) = result.chain.nodes
+        (node,) = result.nodes
         model = result.model
         everything = frozenset(model.entities)
         assert extension_interp(model, node) == everything - {"ur0"}
@@ -293,16 +293,16 @@ class TestUpperChain:
     def test_extensions_nest_strictly(self):
         result = upper_chain_interp(default_demo_model(), 3)
         model = result.model
-        exts = [extension_interp(model, node) for node in result.chain.nodes]
+        exts = [extension_interp(model, node) for node in result.nodes]
         for bigger, smaller in zip(exts, exts[1:]):
             assert smaller < bigger
-        for node, ext in zip(result.chain.nodes, exts):
+        for node, ext in zip(result.nodes, exts):
             assert node in ext
 
     def test_materialized_world_agrees_with_the_classifier(self):
         result = upper_chain_interp(default_demo_model(), 3)
         world = materialize(result.model)
-        for node in result.chain.nodes:
+        for node in result.nodes:
             assert is_upper(world, node)
         assert verify_lemma_suite(world).ok
 
@@ -310,12 +310,14 @@ class TestUpperChain:
         result = upper_chain_interp(default_demo_model(), 3)
         world = materialize(result.model)
         chain = trace_chain(world, "ur0", DESCENDING, 10)
-        assert chain.nodes == ("ur0",) + result.chain.nodes
+        assert chain.nodes == ("ur0",) + result.nodes
         assert chain.terminated_by == ABSENT
 
     def test_pool_exhaustion(self):
-        with pytest.raises(PoolExhaustedError):
-            upper_chain_interp(default_demo_model(pool_size=3), 3)
+        with pytest.raises(
+            PoolExhaustedError, match="^need 8 untagged urelements, only 7 available$"
+        ):
+            upper_chain_interp(default_demo_model(), 8)
 
     def test_requires_a_universal(self):
         with pytest.raises(PreconditionError):
@@ -331,10 +333,6 @@ class TestUpperChain:
         )
         with pytest.raises(CollisionError):
             upper_chain_interp(model, 1)
-
-    def test_demo_pool_must_be_nonempty(self):
-        with pytest.raises(ValueError):
-            default_demo_model(pool_size=0)
 
 
 class TestXorAgainstSprig:

@@ -4,8 +4,8 @@ Lower layers never reach up: the enumerator needs neither the classifier
 nor the audit (its filters read ``Universe.facts``), interp builds worlds
 without the enumerator, and the tag type lives in ``dsl``, which interp
 imports and which imports nothing of interp.  The chain directions live in
-``audit`` with ``trace_chain``, so neither audit nor interp needs the
-classifier.
+``audit`` with ``trace_chain``, which needs no classifier; interp's upper
+chain is a plain tuple of nodes, so interp needs neither.
 """
 
 import ast
@@ -25,7 +25,7 @@ ALLOWED = {
     "classifier": _CORE,
     "audit": _CORE,
     "enumerator": {"dsl", "errors", "universe"},
-    "interp": {"audit", "dsl", "errors", "universe"},
+    "interp": {"dsl", "errors", "universe"},
     "cli": ANYTHING,
     "__init__": ANYTHING,
 }

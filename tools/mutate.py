@@ -45,10 +45,12 @@ TARGETS = (
     ("universe.py", "Universe.__post_init__"),
     ("universe.py", "Universe.facts"),
     ("universe.py", "Universe._lookup"),
+    ("universe.py", "hf_universe"),
     ("classifier.py", "comprehension_witness"),
     ("classifier.py", "is_strictly_russellian"),
     ("classifier.py", "russell_witness"),
     ("interp.py", "BaseModel.world"),
+    ("interp.py", "upper_chain_interp"),
     ("audit.py", "trace_chain"),
     ("dsl.py", "_tokenize"),
     ("dsl.py", "_check_line"),
