@@ -58,38 +58,70 @@ def _load_universe(path: str) -> Universe:
     return dsl.parse_universe(_read_text(path))
 
 
-def _json(value, pad: str = "\n") -> str:
+def _json(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for what a report
     holds: str, int, bool, None, and lists, tuples and str-keyed dicts of
     them.  Anything else (a float, a set, a non-str key) raises TypeError.
     With ``indent`` set, json takes its pure-Python encoder; this quotes
-    every string with json's C function and joins each container once.
-    ``pad`` is the newline and indentation that close the container."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_quote(v) if type(v) is str else _json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            _quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
-            for k, v in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    strings with json's C function and appends each fragment, in document
+    order, to one list joined once.  A list or tuple of strings is one
+    fragment, reused where the same object recurs at the same depth, as the
+    ``ids`` that a group of coextensive elements share do."""
+    out: list[str] = []
+    put = out.append
+    keys: dict[str, str] = {}  # a dict key -> its quoted form
+    # (id, closing pad) -> the fragment of a list or tuple of strings.
+    # Every container lives for the whole call, so no id is reused.
+    strings: dict[tuple[int, str], str] = {}
+
+    def walk(value, pad: str) -> None:
+        # ``pad`` is the newline and indentation that close the container.
+        if isinstance(value, dict) and value:
+            inner = pad + "  "
+            lead, sep = "{" + inner, "," + inner
+            for k, v in value.items():
+                head = lead + (keys.get(k) or keys.setdefault(k, _quote(k))) + ": "
+                if type(v) is str:
+                    put(head + _quote(v))
+                else:
+                    put(head)
+                    walk(v, inner)
+                lead = sep
+            put(pad + "}")
+        elif isinstance(value, (list, tuple)) and value:
+            inner = pad + "  "
+            lead, sep = "[" + inner, "," + inner
+            key = (id(value), pad)
+            if key not in strings:
+                try:  # _quote raises TypeError for anything but a string
+                    strings[key] = lead + sep.join(map(_quote, value)) + pad + "]"
+                except TypeError:
+                    for item in value:
+                        put(lead)
+                        walk(item, inner)
+                        lead = sep
+                    put(pad + "]")
+                    return
+            put(strings[key])
+        elif isinstance(value, str):
+            put(_quote(value))
+        elif value is None:
+            put("null")
+        elif value is True:
+            put("true")
+        elif value is False:
+            put("false")
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        elif isinstance(value, (dict, list, tuple)):
+            put("{}" if isinstance(value, dict) else "[]")
+        else:
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON serializable"
+            )
+
+    walk(value, "\n")
+    return "".join(out)
 
 
 def _emit(args, doc: dict, lines: list[str], ok: bool = True) -> int:

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import setlab
-from setlab import audit
+from setlab import audit, cli
 from setlab.cli import _json, main
 from setlab.errors import LemmaViolationError
 
@@ -517,6 +517,17 @@ _JSON_VALUES = st.recursive(
 )
 
 
+@pytest.fixture
+def coextensive_file(tmp_path):
+    """300 empty sets, which are coextensive, so each of their predecessor
+    lookups is one shared 300-name `multiple`; the file name needs escapes."""
+    path = tmp_path / 'caf\u00e9 "q" \\ .uni'
+    lines = [f"e{i} = {{}}\n" for i in range(300)]
+    lines += ["q = {q}\n", "s0 = {e0}\n", "s1 = {e0, s0}\n"]
+    path.write_text("".join(lines))
+    return path
+
+
 class TestJsonLayout:
     @given(_JSON_VALUES)
     def test_matches_json_dumps_with_indent_two(self, value):
@@ -524,6 +535,22 @@ class TestJsonLayout:
 
     def test_booleans_in_lists_stay_booleans(self):
         value = [True, False, 1, 0, None, (), {}, [[]]]
+        assert _json(value) == json.dumps(value, indent=2)
+
+    def test_shared_objects_are_indented_where_each_occurs(self):
+        # One tuple object several times at one depth and again deeper, in
+        # lists and in dicts, and list objects that occur twice: a text
+        # reused at another depth would carry the wrong indentation.
+        ids = ("e0", "e1", "caf\u00e9")
+        names = ["x", 'y "z"']
+        pairs = [ids, names, {"ids": ids}]
+        value = {
+            "ids": ids,
+            "rows": [{"ids": ids}, {"ids": ids}, ids, [ids], pairs],
+            "names": names,
+            "pairs": pairs,
+            "deep": {"rows": [{"result": {"ids": ids, "names": names}}]},
+        }
         assert _json(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize(
@@ -547,13 +574,10 @@ class TestJsonLayout:
         ],
         ids=" ".join,
     )
-    def test_reports_are_json_dumps_with_indent_two(self, capsys, tmp_path, argv):
-        # 300 empty sets are coextensive, so each of their predecessor
-        # lookups is a 300-name `multiple`; the file name needs escapes.
-        path = tmp_path / 'caf\u00e9 "q" \\ .uni'
-        lines = [f"e{i} = {{}}\n" for i in range(300)]
-        lines += ["q = {q}\n", "s0 = {e0}\n", "s1 = {e0, s0}\n"]
-        path.write_text("".join(lines))
+    def test_reports_are_json_dumps_with_indent_two(
+        self, capsys, coextensive_file, argv
+    ):
+        path = coextensive_file
         argv = [part.format(file=path) for part in argv]
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code in (0, 1)
@@ -561,3 +585,17 @@ class TestJsonLayout:
         if str(path) in argv:
             assert json.loads(out)["file"] == str(path)
             assert r'caf\u00e9 \"q\" \\ .uni"' in out
+
+    def test_check_quotes_a_shared_group_once(
+        self, capsys, monkeypatch, coextensive_file
+    ):
+        # The predecessor lookups of the 300 empty sets and of q all name
+        # the one 300-name group.  Quoting it once per lookup would take
+        # about 90,000 calls; a count, unlike a time, repeats on any machine.
+        calls = []
+        quote = cli._quote
+        monkeypatch.setattr(cli, "_quote", lambda s: calls.append(s) or quote(s))
+        code, out, _ = run(capsys, "check", str(coextensive_file), "--format", "json")
+        assert code == 0
+        assert out.count('"kind": "multiple"') == 301
+        assert len(calls) < 10 * 300
