@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import LemmaViolationError
@@ -48,21 +49,30 @@ MULTIPLE = "multiple"
 CYCLE = "cycle"
 LENGTH_CAP = "length-cap"
 
-LEMMA_TAGS = (
-    "L-lower-not-self",
-    "L-upper-self",
-    "C-not-both",
-    "C-stoppage",
-    "L-pred-not-self",
-    "L-succ-self",
-    "A",
-    "B",
-    "C2",
-    "D",
-    "E",
-    "main-result",
-    "restated",
+# The statements in report order.  Per statement, for each of its parts in
+# the order of verify_lemma_suite's failure masks, the Facts table (SUCCESSOR
+# or PREDECESSOR names it, or None) whose entry follows the bad element in a
+# witness.
+_STATEMENTS = (
+    ("L-lower-not-self", (None,)),
+    ("L-upper-self", (None,)),
+    ("C-not-both", (None,)),
+    ("C-stoppage", (PREDECESSOR, SUCCESSOR)),  # from lowers, uppers
+    ("L-pred-not-self", (PREDECESSOR,)),
+    ("L-succ-self", (SUCCESSOR,)),
+    ("A", (SUCCESSOR,)),
+    ("B", (SUCCESSOR,)),
+    ("C2", (PREDECESSOR,)),
+    ("D", (PREDECESSOR,)),
+    ("E", (PREDECESSOR,)),
+    # Link disjointness, the ascending steps from lowers and the descending
+    # steps from uppers.
+    ("main-result", (None, SUCCESSOR, PREDECESSOR)),
+    ("restated", (None,)),
 )
+LEMMA_TAGS = tuple(tag for tag, _ in _STATEMENTS)
+_PARTS = tuple((tag, which) for tag, parts in _STATEMENTS for which in parts)
+_TAG_BITS = tuple(1 << k for k, _ in enumerate(LEMMA_TAGS))
 
 # The link-disjointness statement does not pin down what counts as two links
 # "intersecting"; we check the strongest element-level reading and say so.
@@ -147,22 +157,6 @@ def check_axiom(u: Universe, which: str) -> AxiomReport:
 _HOLDS = Verdict(HOLDS)
 _VACUOUS = Verdict(VACUOUS)
 
-# The parts the statements are made of, in the order of verify_lemma_suite's
-# failure masks: per part its statement and the Facts table (SUCCESSOR or
-# PREDECESSOR names it) whose entry follows the bad element in a witness.
-_PARTS = (
-    ("L-lower-not-self", None), ("L-upper-self", None), ("C-not-both", None),
-    ("C-stoppage", PREDECESSOR), ("C-stoppage", SUCCESSOR),  # from lowers, uppers
-    ("L-pred-not-self", PREDECESSOR), ("L-succ-self", SUCCESSOR),
-    ("A", SUCCESSOR), ("B", SUCCESSOR),
-    ("C2", PREDECESSOR), ("D", PREDECESSOR), ("E", PREDECESSOR),
-    # Link disjointness, the ascending steps from lowers and the descending
-    # steps from uppers.
-    ("main-result", None), ("main-result", SUCCESSOR), ("main-result", PREDECESSOR),
-    ("restated", None),
-)
-
-
 # The key space is the bound: one entry per set of statements that hold.
 @functools.lru_cache(maxsize=1 << len(LEMMA_TAGS))
 def _clean_report(holds: int) -> LemmaReport:
@@ -231,16 +225,16 @@ def verify_lemma_suite(u: Universe) -> LemmaReport:
         # on exactly C-not-both's elements and has no case of its own.
         lowers & uppers,
     )
-    # A statement holds if any of its parts has a case (bit k for
-    # LEMMA_TAGS[k]); link disjointness needs both kinds of link.
-    some_lower_succ, some_upper_pred = lower_succ != 0, upper_pred != 0
-    holds = (
-        (lowers != 0) | (uppers != 0) << 1 | (masks != ()) << 2
-        | (lower_pred | upper_succ != 0) << 3 | (p_pair != 0) << 4
-        | (s_pair != 0) << 5 | some_lower_succ << 6 | some_lower_succ << 7
-        | some_upper_pred << 8 | some_upper_pred << 9 | some_upper_pred << 10
-        | (lower_succ | upper_pred | (lower_ends and upper_ends) != 0) << 11
+    # A statement holds if any of its parts has a case: per statement, in
+    # LEMMA_TAGS order, a value that is true when one does.  Link
+    # disjointness needs both kinds of link, and restated has no case.  The
+    # bits are distinct, so their sum is their OR.
+    cases = (
+        lowers, uppers, masks, lower_pred | upper_succ, p_pair, s_pair,
+        lower_succ, lower_succ, upper_pred, upper_pred, upper_pred,
+        lower_succ | upper_pred | (lower_ends and upper_ends), 0,
     )
+    holds = sum(compress(_TAG_BITS, cases))
     if not any(bad):
         return _clean_report(holds)
 

@@ -9,9 +9,7 @@ With dedupe, each isomorphism class is represented by its least code: the
 one no relabelling of the elements makes smaller.  Those codes are made by
 orderly generation (Read, "Every one a winner", 1978), so not all 2^(n*n)
 codes are visited: rows are filled from the most significant down, and a
-prefix that some relabelling already makes smaller is never completed.  On
-a 2-vCPU x86-64 VM with Python 3.11 the n=4 pass of the ``dedupe-n4``
-benchmark takes about 0.04 s, and the 291,968 n=5 classes about 2.5 s.
+prefix that some relabelling already makes smaller is never completed.
 """
 
 from __future__ import annotations

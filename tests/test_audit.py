@@ -528,6 +528,14 @@ class TestReferenceSuite:
         u.__dict__["facts"] = u.facts._replace(**lie(u.facts))
         self.agree(u)
 
+    def test_a_russell_set_also_recorded_as_self_membered(self):
+        # The empty e0 is told that it is self-membered and an upper: both
+        # evaluators find restated violated with C-not-both's witness.
+        u = Universe(("e0",), (0,))
+        u.__dict__["facts"] = u.facts._replace(self_mask=1, upper_mask=1)
+        assert verify_lemma_suite(u).verdict("restated") == Verdict(VIOLATED, ("e0",))
+        self.agree(u)
+
 
 class TestTraceChain:
     def test_ascending_through_the_hf_world(self):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from setlab import LEMMA_TAGS
 from setlab.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -61,6 +62,12 @@ def test_json_schema_lists_each_reports_keys_in_order(capsys, tmp_path, name):
     main([part.format(file=path) for part in REPORTS[name]] + ["--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert list(doc) == ["command"] + schema_keys()[name]
+
+
+def test_verify_bullet_lists_the_lemma_tags_in_order():
+    bullet = section("JSON report schema").split("* `verify`: ")[1]
+    listed = bullet.split("over the thirteen lemma tags ")[1].split(")")[0]
+    assert tuple(re.findall(r"`([^`]+)`", listed)) == LEMMA_TAGS
 
 
 def test_library_comments_are_the_reprs_of_their_lines():
