@@ -19,10 +19,12 @@ With two levels the only odd size is 1, so membership is the XOR of the two
 slot tests: complement XOR listed.  A urelement tagged ({0rep}, {})
 therefore contains everything, including itself: a universal set.  Tagging
 at most one urelement per index keeps the index-to-urelement map a partial
-bijection; BaseModel is the one place that enforces it, and every retag
-builds a new model that rejects a collision.  Each model builds the
-interpreted relation once, as bitmask rows (``BaseModel.world``); membership
-queries read it, and ``sprig`` stays the definition tests compare it with.
+bijection.  BaseModel is the one place that checks a model's tags: callers
+hand it the pairs they build, and it rejects a bearer outside the pool or a
+collision.  Each model builds the interpreted relation once, as bitmask rows
+(``BaseModel.world``), and that world's index checks every entity name;
+membership queries read it, and ``sprig`` stays the definition tests compare
+it with.
 
 retag_counterexample_pair rewires that bijection so that two urelements N
 and M cut each other out: N contains everything but M, and M contains
@@ -127,15 +129,13 @@ class BaseModel:
             )
         _require_well_founded(self.base)
         entity_set = set(self.base.names) | pool
-        seen_indexes = set()
-        seen_bearers = set()
         for index, bearer in self.tags:
             if bearer not in pool:
                 raise UnknownElementError(f"tagged name {bearer!r} is not in the pool")
-            if index in seen_indexes or bearer in seen_bearers:
-                raise CollisionError("tagging must be bijective")
-            seen_indexes.add(index)
-            seen_bearers.add(bearer)
+            other = self._bearer_by_index[index]
+            if other != bearer or self._tag_by_bearer[bearer] != index:
+                names = " and ".join(map(repr, sorted({bearer, other})))
+                raise CollisionError(f"tagging must be bijective at {names}")
             for entity in index.listed:
                 if entity not in entity_set:
                     raise UnknownElementError(
@@ -185,10 +185,6 @@ class BaseModel:
     def is_urelement(self, x: ElementId) -> bool:
         return x in self._pool
 
-    def check_entity(self, x: ElementId) -> None:
-        if x not in self.base and x not in self._pool:
-            raise UnknownElementError(f"unknown entity {x!r}")
-
     def tag_of(self, bearer: ElementId) -> Index | None:
         return self._tag_by_bearer.get(bearer)
 
@@ -200,8 +196,10 @@ class BaseModel:
             name for name in self.urelements if name not in self._tag_by_bearer
         )
 
-    def retag(self, tagging: Mapping[Index, ElementId]) -> "BaseModel":
-        return BaseModel.build(self.base, self.urelements, tagging)
+    def retag(self, pairs: Iterable[tuple[Index, ElementId]]) -> "BaseModel":
+        """The same base and pool, tagged by (index, bearer) pairs."""
+        tags = tuple(sorted(pairs, key=lambda item: item[1]))
+        return BaseModel(self.base, self.urelements, tags)
 
 
 def _require_well_founded(base: Universe) -> None:
@@ -224,7 +222,7 @@ def _require_well_founded(base: Universe) -> None:
 
 def sprig(model: BaseModel, x: ElementId, L: Index) -> Sprig:
     """The pairs (level, level-rep of x) that fall inside the tag L."""
-    model.check_entity(x)
+    model.world.index(x)
     pairs = set()
     if L.complement:
         pairs.add((LEVEL_ZERO, SHARED_REP))
@@ -236,7 +234,7 @@ def sprig(model: BaseModel, x: ElementId, L: Index) -> Sprig:
 def _check_target(model: BaseModel, u: ElementId) -> None:
     """Validate u as a membership target; warn, at the caller of the public
     function, when u is an untagged urelement (its extension is empty)."""
-    model.check_entity(u)
+    model.world.index(u)
     if model.is_urelement(u) and model.tag_of(u) is None:
         warnings.warn(
             f"membership queried against untagged urelement {u!r}",
@@ -249,7 +247,7 @@ def member_interp(model: BaseModel, x: ElementId, u: ElementId) -> bool:
     """Interpreted membership, a bit of model.world: base membership when u
     is a base element; for a tagged urelement, the XOR of the two slot tests
     (odd sprig size).  Untagged urelements have empty extensions and warn."""
-    model.check_entity(x)
+    model.world.index(x)
     _check_target(model, u)
     return model.world.is_member(x, u)
 
@@ -277,13 +275,11 @@ def retag_counterexample_pair(
     tagging maps n to N and m to M (if it does not already).  To stay
     bijective, whatever index previously bore N takes over n's previous
     bearer, and likewise for M and m.  The new model raises CollisionError
-    when that fixup leaves a urelement with two tags.
+    when that fixup leaves a urelement with two tags, and UnknownElementError
+    when M or N is not in the pool.
     """
     if M == N:
         raise ValueError("the two urelements must be distinct")
-    for name in (M, N):
-        if not model.is_urelement(name):
-            raise UnknownElementError(f"{name!r} is not in the urelement pool")
     pair = {complement_index({M}): N, complement_index({M, N}): M}
     tagging = dict(model._bearer_by_index)
     homes = [model.tag_of(bearer) for bearer in pair.values()]
@@ -294,7 +290,7 @@ def retag_counterexample_pair(
     for home, bearer in zip(homes, displaced):
         if home is not None and home not in pair and bearer is not None:
             tagging[home] = bearer
-    return model.retag(tagging)
+    return model.retag(tagging.items())
 
 
 def find_universal(model: BaseModel) -> ElementId | None:
@@ -402,16 +398,11 @@ def upper_chain_interp(model: BaseModel, k: int) -> UpperChainResult:
         raise PoolExhaustedError(
             f"need {k} untagged urelements, only {len(fresh)} available"
         )
-    tagging = dict(model._bearer_by_index)
-    removed = [universal]
-    for i, bearer in enumerate(fresh[:k]):
-        index = complement_index(removed)
-        # A dict write would silently untag the index's old bearer.
-        if index in tagging:
-            raise CollisionError(f"index for chain step {i} is already tagged")
-        tagging[index] = bearer
-        removed.append(bearer)
-    return UpperChainResult(model=model.retag(tagging), nodes=tuple(removed[1:]))
+    nodes = fresh[:k]
+    steps = tuple(
+        (complement_index((universal,) + nodes[:i]), x) for i, x in enumerate(nodes)
+    )
+    return UpperChainResult(model=model.retag(model.tags + steps), nodes=nodes)
 
 
 def quine_universe() -> Universe:
@@ -443,7 +434,7 @@ def model_from_doc(doc: UniverseDoc) -> BaseModel:
             continue
         if decl.index in tagging:
             raise CollisionError(
-                f"line {decl.line}: index already tagged to {tagging[decl.index]!r}"
+                f"line {decl.line}: index is already taken by {tagging[decl.index]!r}"
             )
         tagging[decl.index] = decl.name
     return BaseModel.build(base, pool, tagging)

@@ -258,6 +258,15 @@ class TestInterp:
         assert code == 0
         assert "result: ok" in out
 
+    def test_upperchain_collision_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "taken.model"
+        path.write_text(MODEL_WITHOUT_PAIR + "urelement t index ( {0rep} , {u} )\n")
+        code, out, err = run(
+            capsys, "interp", "--demo", "upperchain", "--k", "1", "--model", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: tagging must be bijective at 'spare' and 't'\n"
+
     def test_quine_demo_rejects_model(self, capsys, tmp_path):
         path = tmp_path / "plain.model"
         path.write_text(MODEL_WITHOUT_PAIR)

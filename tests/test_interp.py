@@ -403,3 +403,30 @@ class TestParseModel:
     def test_base_cycle_rejected(self):
         with pytest.raises(ValueError, match="well-founded"):
             parse_model("a = {a}\nurelement u\n")
+
+
+class TestBaseModelOwnsTheChecks:
+    def test_upper_chain_collision_names_both_urelements(self):
+        model = small_model(
+            tagging={universal_index(): "ur0", complement_index({"ur0"}): "ur1"}
+        )
+        with pytest.raises(
+            CollisionError, match="^tagging must be bijective at 'ur1' and 'ur2'$"
+        ):
+            upper_chain_interp(model, 1)
+
+    def test_bearer_with_two_indexes_is_named(self):
+        message = "^tagging must be bijective at 'ur1'$"
+        with pytest.raises(CollisionError, match=message):
+            BaseModel(
+                base=hf_universe(1),
+                urelements=("ur0", "ur1"),
+                tags=((universal_index(), "ur1"), (listing_index({"h0"}), "ur1")),
+            )
+
+    def test_pool_is_checked_before_collisions(self):
+        # ghost sorts first and collides with ur0 on the universal index.
+        with pytest.raises(UnknownElementError, match="'ghost' is not in the pool"):
+            small_model().retag(
+                [(universal_index(), "ur0"), (universal_index(), "ghost")]
+            )

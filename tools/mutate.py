@@ -49,7 +49,9 @@ TARGETS = (
     ("classifier.py", "comprehension_witness"),
     ("classifier.py", "is_strictly_russellian"),
     ("classifier.py", "russell_witness"),
+    ("interp.py", "BaseModel.__post_init__"),
     ("interp.py", "BaseModel.world"),
+    ("interp.py", "retag_counterexample_pair"),
     ("interp.py", "upper_chain_interp"),
     ("audit.py", "trace_chain"),
     ("dsl.py", "_tokenize"),
