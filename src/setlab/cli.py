@@ -21,7 +21,6 @@ from . import audit, classifier, dsl, enumerator, interp
 from .errors import LemmaViolationError, SetlabError
 from .universe import LookupResult, Multiple, Unique, Universe
 
-ENV_MAX_N = "SETLAB_MAX_N"
 EXIT_INTERRUPTED = 128 + 2  # killed by SIGINT, as shells report it
 EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as shells report it
 
@@ -280,17 +279,8 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    max_n = enumerator.DEFAULT_MAX_N
-    override = os.environ.get(ENV_MAX_N)
-    if override is not None:
-        try:
-            max_n = int(override)
-        except ValueError:
-            raise SetlabError(f"{ENV_MAX_N} must be an integer, got {override!r}")
     try:
-        spec = enumerator.EnumSpec(
-            n=args.size, filter=args.filter, dedupe=args.dedupe, max_n=max_n
-        )
+        spec = enumerator.EnumSpec(n=args.size, filter=args.filter, dedupe=args.dedupe)
     except ValueError as exc:
         raise SetlabError(str(exc)) from None
     stats = enumerator.enumerate_universes(spec)

@@ -43,17 +43,20 @@ FILTERS: dict[str, Callable[[Universe], bool]] = {
 
 @dataclass(frozen=True)
 class EnumSpec:
-    """What to enumerate: size, optional named filter, optional dedupe up to
-    element permutation."""
+    """What to enumerate: size (at most DEFAULT_MAX_N), optional named
+    filter, optional dedupe up to element permutation."""
 
     n: int
     filter: str | None = None
     dedupe: bool = False
-    max_n: int = DEFAULT_MAX_N
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be non-negative")
+        if self.n > DEFAULT_MAX_N:
+            raise CapExceededError(
+                f"enumeration size {self.n} exceeds the cap of {DEFAULT_MAX_N}"
+            )
         if self.filter is not None and self.filter not in FILTERS:
             known = ", ".join(sorted(FILTERS))
             raise ValueError(
@@ -134,10 +137,6 @@ def enumerate_universes(
     stats.  visit, when given, is called on each universe that passes the
     filter."""
     n = spec.n
-    if n > spec.max_n:
-        raise CapExceededError(
-            f"enumeration size {n} exceeds the cap of {spec.max_n}"
-        )
     matches = FILTERS[spec.filter] if spec.filter else None
     names = tuple(f"e{i}" for i in range(n))
     if not spec.dedupe:

@@ -189,22 +189,12 @@ class TestEnumerate:
         assert code == 2
         assert "unknown filter" in err
 
-    def test_env_cap_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SETLAB_MAX_N", "2")
-        code, _, err = run(capsys, "enumerate", "--size", "3")
+    @pytest.mark.parametrize("dedupe", [[], ["--dedupe"]], ids=["plain", "dedupe"])
+    def test_size_above_the_cap_is_a_usage_error(self, capsys, dedupe):
+        code, out, err = run(capsys, "enumerate", "--size", "6", *dedupe)
         assert code == 2
-        assert "exceeds" in err
-
-    def test_env_cap_must_be_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("SETLAB_MAX_N", "abc")
-        code, _, err = run(capsys, "enumerate", "--size", "1")
-        assert code == 2
-        assert err == "error: SETLAB_MAX_N must be an integer, got 'abc'\n"
-
-    def test_env_cap_can_extend(self, capsys, monkeypatch):
-        monkeypatch.setenv("SETLAB_MAX_N", "1")
-        code, _, _ = run(capsys, "enumerate", "--size", "1")
-        assert code == 0
+        assert out == ""
+        assert err == "error: enumeration size 6 exceeds the cap of 5\n"
 
     def test_dedupe(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--size", "2", "--dedupe")

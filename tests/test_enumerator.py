@@ -9,6 +9,7 @@ import oracle
 
 from setlab import (
     CapExceededError,
+    DEFAULT_MAX_N,
     EnumSpec,
     FILTERS,
     HF_SIZES,
@@ -42,8 +43,11 @@ class TestEnumerationTotals:
         assert len(seen) == len(set(seen))
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            enumerate_universes(EnumSpec(n=3, max_n=2))
+        with pytest.raises(
+            CapExceededError, match="^enumeration size 6 exceeds the cap of 5$"
+        ):
+            EnumSpec(n=DEFAULT_MAX_N + 1)
+        assert EnumSpec(n=DEFAULT_MAX_N).n == DEFAULT_MAX_N
 
 
 class TestFilters:

@@ -181,7 +181,6 @@ def workdir(tmp_path, monkeypatch):
     for name, text in FILES.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SETLAB_MAX_N", raising=False)
 
 
 @pytest.mark.parametrize("line", list(GOLDEN))

@@ -40,3 +40,39 @@ def test_a_failing_unmutated_run_names_its_test(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert not mutate.run_tests(tmp_path, timeout=120, report=True)
     assert "FAILED tests/test_planted.py::test_fails" in capsys.readouterr().err
+
+
+def test_an_unknown_target_name_is_an_error(capsys):
+    assert mutate.main(["--list", "bogus", "canonical_form"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no target named 'bogus'\n"
+
+
+def test_a_mutant_that_fails_on_its_operand_types_is_stillborn(tmp_path):
+    package = tmp_path / mutate.PACKAGE
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "planted.py").write_text(
+        "def join(a, b):\n    return a - b\n\n\ndef size(a):\n    return len(a) + 1\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "tests").mkdir()
+    test_file = tmp_path / "tests" / "test_planted.py"
+    test_file.write_text(
+        "from setlab.planted import join\n\n\n"
+        "def test_join():\n    assert join((1,), (2,)) == (1, 2)\n",
+        encoding="utf-8",
+    )
+    code, output = mutate.pytest_run(tmp_path, 120, "tests")
+    assert code and mutate.stillborn(output, "planted.py")
+    assert not mutate.stillborn(output, "other.py")
+    # A wrong value, or the same TypeError raised in the test file, is a
+    # verdict of the tests.
+    for body in ("assert size((1,)) == 3", "assert (1,) - (2,)"):
+        test_file.write_text(
+            f"from setlab.planted import size\n\n\ndef test_size():\n    {body}\n",
+            encoding="utf-8",
+        )
+        code, output = mutate.pytest_run(tmp_path, 120, "tests")
+        assert code and not mutate.stillborn(output, "planted.py")

@@ -7,9 +7,13 @@ copy, runs ``pytest -q -x`` there on the module's own test file
 (``tests/test_<module>.py``) and, only if that passes, on the whole suite,
 and counts the mutant as killed (the tests fail or time out) or surviving.
 The whole suite contains the module's file, so the verdicts are those of
-whole-suite runs; most mutants die in the shorter one.  Mutant runs are
-quiet; when the unmutated suite fails, the tail of pytest's output goes to
-stderr.  The checkout itself is never written.
+whole-suite runs; most mutants die in the shorter one.  A mutant whose own
+run fails first with ``TypeError: unsupported operand type(s)`` raised in
+the mutated module (say, a tuple ``+`` turned into ``-``) is stillborn: it
+dies on every call, so no test had to judge it.  Stillborn mutants are
+listed apart and left out of the score.  Mutant runs are quiet; when the
+unmutated suite fails, the tail of pytest's output goes to stderr.  The
+checkout itself is never written.
 
     python tools/mutate.py              # every target
     python tools/mutate.py _json        # the target named _json
@@ -29,6 +33,7 @@ import argparse
 import ast
 import copy
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -57,6 +62,7 @@ TARGETS = (
     ("dsl.py", "_tokenize"),
     ("dsl.py", "_check_line"),
     ("dsl.py", "parse_document"),
+    ("enumerator.py", "EnumSpec.__post_init__"),
     ("enumerator.py", "_relabellings"),
     ("enumerator.py", "_least_codes"),
     ("enumerator.py", "_relabelled_code"),
@@ -177,31 +183,46 @@ def module_tests(module: str) -> str:
     return f"tests/test_{Path(module).stem}.py"
 
 
+def pytest_run(work: Path, timeout: float, tests: str) -> tuple[int | None, str]:
+    """pytest's exit code (None when it runs over timeout) and output for the
+    tests (a file or directory under work), one line per failure."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(work / "src"))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+            + ["--tb=line", tests],
+            cwd=work,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return None, ""
+    return result.returncode, result.stdout.decode(errors="replace")
+
+
 def run_tests(
     work: Path, timeout: float, report: bool = False, tests: str = "tests"
 ) -> bool:
     """Whether the tests (a file or directory under work) pass there.  With
     report, a failed run prints the tail of pytest's output (its short test
     summary) to stderr."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(work / "src"))
-    try:
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-            + [tests],
-            cwd=work,
-            env=env,
-            stdout=subprocess.PIPE if report else subprocess.DEVNULL,
-            stderr=subprocess.STDOUT if report else subprocess.DEVNULL,
-            timeout=timeout,
-        )
-    except subprocess.TimeoutExpired:
-        if report:
-            print(f"the unmutated tests ran over {timeout:.0f} s", file=sys.stderr)
-        return False
-    if result.returncode and report:
-        tail = result.stdout.decode(errors="replace").splitlines()[-20:]
-        print("\n".join(tail), file=sys.stderr)
-    return result.returncode == 0
+    code, output = pytest_run(work, timeout, tests)
+    if code is None and report:
+        print(f"the unmutated tests ran over {timeout:.0f} s", file=sys.stderr)
+    elif code and report:
+        print("\n".join(output.splitlines()[-20:]), file=sys.stderr)
+    return code == 0
+
+
+def stillborn(output: str, module: str) -> bool:
+    """Whether a failed run's output shows a TypeError for an operator's
+    operand types raised in the package module."""
+    where = re.escape(f"{PACKAGE.as_posix()}/{module}")
+    return re.search(
+        rf"{where}:\d+: TypeError: unsupported operand type\(s\)", output
+    ) is not None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -214,6 +235,12 @@ def main(argv: list[str] | None = None) -> int:
         for module, qualname in TARGETS
         if not args.names or {qualname, qualname.split(".")[-1]} & set(args.names)
     ]
+    known = {name for _, q in TARGETS for name in (q, q.split(".")[-1])}
+    unknown = [name for name in args.names if name not in known]
+    for name in unknown:
+        print(f"error: no target named {name!r}", file=sys.stderr)
+    if unknown:
+        return 2
     plan = []
     for module, qualname in targets:
         source = (ROOT / PACKAGE / module).read_text(encoding="utf-8")
@@ -238,21 +265,28 @@ def main(argv: list[str] | None = None) -> int:
             print("the unmutated tests fail; nothing to measure", file=sys.stderr)
             return 2
         timeout = max(60.0, 5 * (time.perf_counter() - start))
-        survivors = []
+        verdicts = {"killed": [], "SURVIVED": [], "stillborn": []}
         for n, (module, qualname, line, what, text, source) in enumerate(plan, 1):
             path = work / PACKAGE / module
             path.write_text(splice(source, qualname, text), encoding="utf-8")
-            own = run_tests(work, timeout, tests=module_tests(module))
-            killed = not (own and run_tests(work, timeout))
+            code, output = pytest_run(work, timeout, module_tests(module))
+            if code and stillborn(output, module):
+                verdict = "stillborn"
+            elif code != 0 or not run_tests(work, timeout):
+                verdict = "killed"
+            else:
+                verdict = "SURVIVED"
             path.write_text(source, encoding="utf-8")
-            verdict = "killed" if killed else "SURVIVED"
             where = f"{module}:{line} {qualname}: {what}"
-            print(f"[{n}/{len(plan)}] {verdict:8} {where}", flush=True)
-            if not killed:
-                survivors.append(where)
-    print(f"\n{len(plan) - len(survivors)} of {len(plan)} mutants killed")
+            print(f"[{n}/{len(plan)}] {verdict:9} {where}", flush=True)
+            verdicts[verdict].append(where)
+    survivors = verdicts["SURVIVED"]
+    scored = len(plan) - len(verdicts["stillborn"])
+    print(f"\n{len(verdicts['killed'])} of {scored} mutants killed")
     for survivor in survivors:
         print(f"  survived: {survivor}")
+    for where in verdicts["stillborn"]:
+        print(f"  stillborn (not scored): {where}")
     return 1 if survivors else 0
 
 
