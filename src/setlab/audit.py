@@ -109,7 +109,7 @@ class Verdict:
 @dataclass(frozen=True)
 class LemmaReport:
     per_lemma: tuple[tuple[str, Verdict], ...]
-    notes: tuple[str, ...] = ()
+    notes = (MAIN_RESULT_NOTE,)
 
     def verdict(self, tag: str) -> Verdict:
         for name, verdict in self.per_lemma:
@@ -163,14 +163,13 @@ def _clean_report(holds: int) -> LemmaReport:
     """The report without violations whose statements with a bit in holds
     (bit k for LEMMA_TAGS[k]) hold and whose other statements are vacuous."""
     row = [_HOLDS if holds >> k & 1 else _VACUOUS for k, _ in enumerate(LEMMA_TAGS)]
-    return LemmaReport(tuple(zip(LEMMA_TAGS, row)), (MAIN_RESULT_NOTE,))
+    return LemmaReport(tuple(zip(LEMMA_TAGS, row)))
 
 
 def verify_lemma_suite(u: Universe) -> LemmaReport:
     """Exhaustively evaluate the whole lemma suite over one universe."""
     names, masks, facts = u.names, u.masks, u.facts
-    self_, nonself = facts.self_mask, facts.nonself_mask
-    lowers, uppers = facts.lower_mask, facts.upper_mask
+    self_, lowers, uppers = facts.self_mask, facts.lower_mask, facts.upper_mask
     # One pass.  s_*: elements x with a unique successor y, and those among
     # them where y == x, ext(y) != ext(x), x is in y and y is a lower; p_*:
     # likewise with a unique predecessor y, and where y is in x and y is an
@@ -213,7 +212,7 @@ def verify_lemma_suite(u: Universe) -> LemmaReport:
     # Per part of _PARTS, the elements meeting its hypotheses where its
     # conclusion fails.
     bad = (
-        lowers & self_, uppers & nonself, lowers & uppers,
+        lowers & self_, uppers & ~self_, lowers & uppers,
         lower_pred & p_moved, upper_succ & s_moved,
         p_x_in, s_pair & ~s_x_in,
         lower_succ & s_same, lower_succ & ~s_lower,
@@ -249,7 +248,7 @@ def verify_lemma_suite(u: Universe) -> LemmaReport:
                 names[i], names[getattr(facts, which)[i]]
             )
             verdicts[tag] = Verdict(VIOLATED, witness)
-    return LemmaReport(tuple(verdicts.items()), (MAIN_RESULT_NOTE,))
+    return LemmaReport(tuple(verdicts.items()))
 
 
 def trace_chain(u: Universe, start: ElementId, direction: str, cap: int) -> Chain:

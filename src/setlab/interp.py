@@ -19,9 +19,10 @@ With two levels the only odd size is 1, so membership is the XOR of the two
 slot tests: complement XOR listed.  A urelement tagged ({0rep}, {})
 therefore contains everything, including itself: a universal set.  Tagging
 at most one urelement per index keeps the index-to-urelement map a partial
-bijection.  BaseModel is the one place that checks a model's tags: callers
-hand it the pairs they build, and it rejects a bearer outside the pool or a
-collision.  Each model builds the interpreted relation once, as bitmask rows
+bijection.  BaseModel is the one place that checks and orders a model's
+tags: callers hand it the pairs they build, in any order, and it rejects a
+bearer outside the pool or a collision and keeps each pair once, in bearer
+order.  Each model builds the interpreted relation once, as bitmask rows
 (``BaseModel.world``), and that world's index checks every entity name;
 membership queries read it, and ``sprig`` stays the definition tests compare
 it with.
@@ -119,6 +120,7 @@ class BaseModel:
     tags: tuple[tuple[Index, ElementId], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "tags", tuple(sorted(self.tags, key=lambda t: t[1])))
         pool = set(self.urelements)
         if len(pool) != len(self.urelements):
             raise DuplicateDefinitionError("duplicate urelement names")
@@ -141,6 +143,9 @@ class BaseModel:
                     raise UnknownElementError(
                         f"tag of {bearer!r} refers to unknown entity {entity!r}"
                     )
+        # A checked tagging is a bijection: each pair once, in bearer order.
+        by_bearer = self._tag_by_bearer
+        object.__setattr__(self, "tags", tuple(zip(by_bearer.values(), by_bearer)))
 
     @classmethod
     def build(
@@ -149,7 +154,7 @@ class BaseModel:
         urelements: Iterable[ElementId],
         tagging: Mapping[Index, ElementId] | None = None,
     ) -> "BaseModel":
-        tags = tuple(sorted((tagging or {}).items(), key=lambda item: item[1]))
+        tags = tuple((tagging or {}).items())
         return cls(base=base, urelements=tuple(urelements), tags=tags)
 
     @_cached
@@ -198,8 +203,7 @@ class BaseModel:
 
     def retag(self, pairs: Iterable[tuple[Index, ElementId]]) -> "BaseModel":
         """The same base and pool, tagged by (index, bearer) pairs."""
-        tags = tuple(sorted(pairs, key=lambda item: item[1]))
-        return BaseModel(self.base, self.urelements, tags)
+        return BaseModel(self.base, self.urelements, tuple(pairs))
 
 
 def _require_well_founded(base: Universe) -> None:
@@ -298,26 +302,34 @@ def find_universal(model: BaseModel) -> ElementId | None:
     return model.bearer_of(universal_index())
 
 
-@dataclass(frozen=True)
-class ForsterReport:
-    """Outcome of checking the counterexample pair in a model."""
-
-    universal: ElementId
-    n: ElementId | None
-    m: ElementId | None
-    precondition_met: bool
-    checks: tuple[tuple[str, bool], ...]
-    note: str
-
-    @property
-    def passed(self) -> bool:
-        return self.precondition_met and all(ok for _, ok in self.checks)
-
-
 _COUNTEREXAMPLE_NOTE = (
     "exhibits a self-membered set whose predecessor is not self-membered; "
     "informational for this constructed model only"
 )
+_NO_PAIR_NOTE = "no urelement pair carries the counterexample tagging"
+
+
+@dataclass(frozen=True)
+class ForsterReport:
+    """Outcome of checking the counterexample pair in a model: n and m are
+    None, and checks empty, when no urelement pair carries its tagging."""
+
+    universal: ElementId
+    n: ElementId | None
+    m: ElementId | None
+    checks: tuple[tuple[str, bool], ...]
+
+    @property
+    def precondition_met(self) -> bool:
+        return self.n is not None
+
+    @property
+    def note(self) -> str:
+        return _COUNTEREXAMPLE_NOTE if self.precondition_met else _NO_PAIR_NOTE
+
+    @property
+    def passed(self) -> bool:
+        return self.precondition_met and all(ok for _, ok in self.checks)
 
 
 def _find_counterexample_pair(model: BaseModel):
@@ -344,14 +356,7 @@ def verify_forster_counterexample(model: BaseModel) -> ForsterReport:
         raise PreconditionError("model has no universal urelement")
     pair = _find_counterexample_pair(model)
     if pair is None:
-        return ForsterReport(
-            universal=universal,
-            n=None,
-            m=None,
-            precondition_met=False,
-            checks=(),
-            note="no urelement pair carries the counterexample tagging",
-        )
+        return ForsterReport(universal=universal, n=None, m=None, checks=())
     M, N = pair
     everything = frozenset(model.entities)
     ext_n = extension_interp(model, N)
@@ -365,14 +370,7 @@ def verify_forster_counterexample(model: BaseModel) -> ForsterReport:
         ("ext(m) = ext(n) - {n}", ext_m == ext_n - {N}),
         ("ext(n) = ext(universal) - {m}", ext_n == ext_u - {M}),
     )
-    return ForsterReport(
-        universal=universal,
-        n=N,
-        m=M,
-        precondition_met=True,
-        checks=checks,
-        note=_COUNTEREXAMPLE_NOTE,
-    )
+    return ForsterReport(universal=universal, n=N, m=M, checks=checks)
 
 
 @dataclass(frozen=True)

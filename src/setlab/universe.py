@@ -88,7 +88,6 @@ class Facts(NamedTuple):
     """
 
     self_mask: int
-    nonself_mask: int
     lower_mask: int
     upper_mask: int
     successor: tuple[int | None, ...]
@@ -182,7 +181,7 @@ class Universe:
                 upper |= bit
             succ.append(unique.get(mask | bit))
             pred.append(unique.get(mask & ~bit))
-        return Facts(self_bits, nonself, lower, upper, tuple(succ), tuple(pred))
+        return Facts(self_bits, lower, upper, tuple(succ), tuple(pred))
 
     @_cached
     def carriers(self) -> dict[int, tuple[ElementId, ...]]:

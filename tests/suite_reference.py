@@ -14,7 +14,6 @@ from __future__ import annotations
 from setlab.audit import (
     HOLDS,
     LEMMA_TAGS,
-    MAIN_RESULT_NOTE,
     VACUOUS,
     VIOLATED,
     LemmaReport,
@@ -60,8 +59,7 @@ def _link_endpoints(masks, group):
 
 def reference_lemma_suite(u):
     names, masks, facts = u.names, u.masks, u.facts
-    self_, nonself = facts.self_mask, facts.nonself_mask
-    lowers, uppers = facts.lower_mask, facts.upper_mask
+    self_, lowers, uppers = facts.self_mask, facts.lower_mask, facts.upper_mask
     succ, pred = facts.successor, facts.predecessor
     s_pair, s_same, s_moved, s_x_in, _, s_lower = _pair_masks(masks, succ, lowers)
     p_pair, p_same, p_moved, p_x_in, p_y_in, p_upper = _pair_masks(masks, pred, uppers)
@@ -75,7 +73,7 @@ def reference_lemma_suite(u):
     # where its conclusion fails.
     parts = (
         ("L-lower-not-self", None, lowers, lowers & self_),
-        ("L-upper-self", None, uppers, uppers & nonself),
+        ("L-upper-self", None, uppers, uppers & ~self_),
         ("C-not-both", None, u.all_mask, lowers & uppers),
         ("C-stoppage", pred, lower_pred, lower_pred & p_moved),
         ("C-stoppage", succ, upper_succ, upper_succ & s_moved),
@@ -102,4 +100,4 @@ def reference_lemma_suite(u):
             i = (bad & -bad).bit_length() - 1
             witness = (names[i],) if table is None else (names[i], names[table[i]])
             verdicts[tag] = Verdict(VIOLATED, witness)
-    return LemmaReport(tuple(verdicts.items()), (MAIN_RESULT_NOTE,))
+    return LemmaReport(tuple(verdicts.items()))

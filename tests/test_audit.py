@@ -363,7 +363,7 @@ PLANTED = [
         id="L-lower-not-self",
     ),
     pytest.param(
-        "L-upper-self", co_hf3, flips("nonself_mask", 0), ("h0",),
+        "L-upper-self", co_hf3, flips("self_mask", 0), ("h0",),
         id="L-upper-self",
     ),
     pytest.param("C-not-both", hf3, flips("upper_mask", 0), ("h0",), id="C-not-both"),
@@ -492,7 +492,7 @@ def random_lie(rng, u):
     if rng.random() < 0.5:
         table = rng.choice(("successor", "predecessor"))
         return points(table, i, rng.randrange(len(u)))
-    mask = rng.choice(("self_mask", "nonself_mask", "lower_mask", "upper_mask"))
+    mask = rng.choice(("self_mask", "lower_mask", "upper_mask"))
     return flips(mask, i)
 
 

@@ -127,7 +127,7 @@ class TestComprehensionWitness:
         for n in range(3):
             for d in all_membership_dicts(n):
                 u = to_universe(d)
-                nonself = u.facts.nonself_mask
+                nonself = u.all_mask & ~u.facts.self_mask
                 assert comprehension_witness(u, nonself) == russell_witness(u)
 
     def test_constantly_true_finds_the_top(self):

@@ -117,7 +117,7 @@ class TestVerify:
                 (tag, audit.Verdict(audit.VIOLATED, ("q", "e")) if tag == "A" else v)
                 for tag, v in report.per_lemma
             )
-            return audit.LemmaReport(per_lemma, report.notes)
+            return audit.LemmaReport(per_lemma)
 
         monkeypatch.setattr(audit, "verify_lemma_suite", with_a_violated)
 

@@ -6,6 +6,7 @@ from setlab import (
     BaseModel,
     CollisionError,
     DuplicateDefinitionError,
+    ForsterReport,
     Index,
     LEVEL_ONE,
     LEVEL_ZERO,
@@ -175,6 +176,23 @@ class TestBaseModel:
         with pytest.raises(UnknownElementError):
             small_model(tagging={complement_index({"ghost"}): "ur0"})
 
+    @pytest.mark.parametrize(
+        "arrange", [lambda pairs: pairs[::-1], lambda pairs: pairs + pairs[:1]],
+        ids=["reversed", "repeated"],
+    )
+    def test_the_model_orders_its_own_tags(self, arrange):
+        pool = ("ur0", "ur1", "ur2")
+        tagging = {
+            complement_index({"ur1"}): "ur2",
+            universal_index(): "ur0",
+            complement_index({"ur1", "ur2"}): "ur1",
+        }
+        built = BaseModel.build(hf_universe(2), pool, tagging)
+        direct = BaseModel(hf_universe(2), pool, arrange(tuple(tagging.items())))
+        assert direct == built
+        assert hash(direct) == hash(built)
+        assert [bearer for _, bearer in direct.tags] == ["ur0", "ur1", "ur2"]
+
 
 class TestRetagCounterexamplePair:
     def test_fresh_model(self):
@@ -253,6 +271,12 @@ class TestForsterReport:
         assert not report.precondition_met
         assert not report.passed
         assert report.checks == ()
+
+    def test_a_report_without_a_pair_does_not_pass(self):
+        report = ForsterReport("ur0", None, None, ())
+        assert not report.precondition_met
+        assert not report.passed
+        assert report.note == "no urelement pair carries the counterexample tagging"
 
     def test_skips_tags_that_cannot_be_the_pair(self):
         # The first tag lists a base element, the second its own bearer.

@@ -111,7 +111,7 @@ def test_lowers_and_uppers_never_meet(u):
 def test_russell_witness_agrees_with_comprehension(u):
     witness = russell_witness(u)
     assert witness is None
-    assert comprehension_witness(u, u.facts.nonself_mask) == witness
+    assert comprehension_witness(u, u.all_mask & ~u.facts.self_mask) == witness
     assert all(not is_strictly_russellian(u, x) for x in u.names)
 
 

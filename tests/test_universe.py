@@ -203,7 +203,6 @@ def naive_facts(d):
     selfs = [x for x in names if oracle.self_membered(d, x)]
     return Facts(
         self_mask=bits(selfs),
-        nonself_mask=bits(x for x in names if x not in selfs),
         lower_mask=bits(x for x in names if oracle.is_lower(d, x)),
         upper_mask=bits(x for x in names if oracle.is_upper(d, x)),
         successor=tuple(only(oracle.successors(d, x)) for x in names),
