@@ -34,6 +34,7 @@ from .errors import (
     DslSyntaxError,
     DuplicateDefinitionError,
     UndefinedNameError,
+    UnknownElementError,
 )
 from .universe import Universe
 
@@ -191,8 +192,9 @@ def _check_line(line: str, lineno: int, allow_urelements: bool) -> None:
 def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
     """Parse source text into a validated document.
 
-    Raises DslSyntaxError, DuplicateDefinitionError, or UndefinedNameError;
-    positions in messages are 1-based.
+    Raises DslSyntaxError, DuplicateDefinitionError, UndefinedNameError, or
+    UnknownElementError for a definition that lists a urelement; positions
+    in messages are 1-based.
     """
     definitions: list[tuple[str, tuple[str, ...], int]] = []
     urelements: list[UrelementDecl] = []
@@ -238,6 +240,12 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
         for member in members:
             if member not in defined:
                 raise UndefinedNameError(f"line {lineno}: undefined name {member!r}")
+    if urelements:
+        pool = {decl.name for decl in urelements}
+        for name, members, lineno in definitions:
+            for member in filter(pool.__contains__, members):
+                message = f"line {lineno}: {name!r} lists urelement {member!r}"
+                raise UnknownElementError(message)
 
     return UniverseDoc(
         definitions=tuple((name, members) for name, members, _ in definitions),

@@ -329,6 +329,15 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: base universe is not well-founded (cycle among a, b)\n"
 
+    def test_model_base_listing_a_urelement_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "listed.model"
+        path.write_text("a = {u}\nurelement u index ( {0rep} , {} )\n")
+        code, out, err = run(
+            capsys, "interp", "--demo", "forster", "--model", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: 'a' lists urelement 'u'\n"
+
     @pytest.mark.parametrize(
         "argv",
         [("verify", "{path}"), ("interp", "--demo", "upperchain", "--model", "{path}")],

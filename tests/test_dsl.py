@@ -11,6 +11,7 @@ from setlab import (
     DuplicateDefinitionError,
     SetlabError,
     UndefinedNameError,
+    UnknownElementError,
     Universe,
     canonical_form,
     dsl,
@@ -139,6 +140,13 @@ class TestModelDocuments:
     def test_urelement_name_clash_with_element(self):
         with pytest.raises(DuplicateDefinitionError):
             parse_document("a = {}\nurelement a\n", allow_urelements=True)
+
+    def test_definition_may_not_list_a_urelement(self):
+        # The first urelement in written order is named, not in set order.
+        text = "b = {}\na = {b, v, u}\nurelement u index ( {0rep} , {} )\nurelement v\n"
+        message = "^line 2: 'a' lists urelement 'v'$"
+        with pytest.raises(UnknownElementError, match=message):
+            parse_document(text, allow_urelements=True)
 
     @pytest.mark.parametrize(
         "text,message",

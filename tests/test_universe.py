@@ -19,7 +19,7 @@ from setlab import (
     russell_witness,
     verify_lemma_suite,
 )
-from setlab.universe import Facts
+from setlab.universe import Facts, _cached
 
 
 def universe(**extensions):
@@ -81,6 +81,12 @@ class TestConstruction:
         u = Universe((), ())
         assert len(u) == 0 and list(u) == [] and u.all_mask == 0
         assert u.ids(0) == ()
+
+    def test_membership_test_reads_element_names(self):
+        u = Universe(("e0", "e1"), (0, 1))
+        assert "e0" in u
+        assert "zz" not in u
+        assert 0 not in u
 
 
 class TestExtension:
@@ -262,6 +268,12 @@ class TestFacts:
             names = sorted(d)
             russell = sum(1 << names.index(x) for x in oracle.russell_candidates(d))
             assert f.lower_mask & f.upper_mask == russell, d
+
+    def test_facts_read_on_the_class_is_the_descriptor(self):
+        descriptor = Universe.facts
+        assert isinstance(descriptor, _cached)
+        assert descriptor.__doc__ == descriptor.func.__doc__
+        assert descriptor.__doc__.startswith("The derived facts")
 
     def test_carriers_match_oracle_grouping(self):
         for d in facts_cases():

@@ -58,6 +58,8 @@ TARGETS = (
     ("interp.py", "BaseModel.world"),
     ("interp.py", "retag_counterexample_pair"),
     ("interp.py", "upper_chain_interp"),
+    ("interp.py", "verify_forster_counterexample"),
+    ("interp.py", "ForsterReport.note"),
     ("audit.py", "trace_chain"),
     ("dsl.py", "_tokenize"),
     ("dsl.py", "_check_line"),
