@@ -21,7 +21,10 @@ A well-formed definition line, and in a model document a well-formed
 urelement declaration, is matched whole by one regular expression.  Every
 other line (any line with a syntax error, and a urelement declaration in a
 plain document) goes to the line checker, which is the one place that words
-each syntax error and its column.
+each syntax error and its column.  The records are named tuples, so their
+hashing, equality and construction run in C.  Each name rule is one set
+operation over the whole document; a loop runs only when a rule fails, to
+word the first error in line order.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     DslSyntaxError,
@@ -39,7 +44,6 @@ from .errors import (
 from .universe import Universe
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NAME_RE = re.compile(_NAME)
 # A whole well-formed definition line: group 1 is the name, group 2 the
 # member list (None for an empty set).  It skips only space and tab, as
 # _tokenize does, so it accepts exactly the definitions the line checker
@@ -71,17 +75,16 @@ ZERO_REP_TOKEN = "0rep"
 END = "end of line"
 
 
-@dataclass(frozen=True)
-class Index:
+class Index(NamedTuple):
     """A urelement tag.  Its bearer contains exactly the listed entities,
-    or, when complement is set, everything except them."""
+    or, when complement is set, everything except them.  As a named tuple
+    it equals, and hashes as, the plain tuple (complement, listed)."""
 
     complement: bool
     listed: frozenset[str]
 
 
-@dataclass(frozen=True)
-class UrelementDecl:
+class UrelementDecl(NamedTuple):
     name: str
     index: Index | None
     line: int
@@ -189,6 +192,12 @@ def _check_line(line: str, lineno: int, allow_urelements: bool) -> None:
             )
 
 
+def _names(member_list: str) -> list[str]:
+    """The names of a member list that a whole-line regex has matched: with
+    its blanks deleted, the list splits at ','."""
+    return member_list.replace(" ", "").replace("\t", "").split(",")
+
+
 def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
     """Parse source text into a validated document.
 
@@ -201,20 +210,21 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
     # Only \n, \r\n and \r end a line, as in a file opened in text mode;
     # str.splitlines would also break at \x0c, \x85, U+2028 and others.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    # No line matches both regexes: a definition needs '='.
     for lineno, raw in enumerate(lines, start=1):
-        match = _DEFINITION_RE.fullmatch(raw)
-        if match:
-            name, body = match.groups()
-            members = tuple(_NAME_RE.findall(body)) if body else ()
-            definitions.append((name, members, lineno))
-            continue
         if allow_urelements and (match := _URELEMENT_RE.fullmatch(raw)):
             name, clause, zero_slot, names = match.groups()
             index = None
             if clause is not None:
-                listed = frozenset(_NAME_RE.findall(names)) if names else frozenset()
+                listed = frozenset(_names(names)) if names else frozenset()
                 index = Index(zero_slot is not None, listed)
-            urelements.append(UrelementDecl(name=name, index=index, line=lineno))
+            urelements.append(UrelementDecl(name, index, lineno))
+            continue
+        match = _DEFINITION_RE.fullmatch(raw)
+        if match:
+            name, body = match.groups()
+            members = tuple(_names(body)) if body else ()
+            definitions.append((name, members, lineno))
             continue
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -222,7 +232,32 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
         _check_line(raw, lineno, allow_urelements)
         raise AssertionError(f"line {lineno}: the checker accepts what no regex reads")
 
-    # Each name rule in one pass: the definitions first, then the urelements.
+    # Each name rule as one set operation: no name defined twice, every
+    # member and listed entity defined, no definition lists a urelement.
+    pool = {decl.name for decl in urelements}
+    defined = pool.union(map(itemgetter(0), definitions))
+    member_lists = list(map(itemgetter(1), definitions))
+    tag_lists = [decl.index.listed for decl in urelements if decl.index]
+    if not (
+        len(defined) == len(definitions) + len(urelements)
+        and defined.issuperset(chain.from_iterable(chain(member_lists, tag_lists)))
+        and pool.isdisjoint(chain.from_iterable(member_lists))
+    ):
+        _raise_first_name_error(definitions, urelements)
+
+    return UniverseDoc(
+        definitions=tuple((name, members) for name, members, _ in definitions),
+        urelements=tuple(urelements),
+    )
+
+
+def _raise_first_name_error(
+    definitions: list[tuple[str, tuple[str, ...], int]],
+    urelements: list[UrelementDecl],
+) -> None:
+    """Raise the first error of the name rules, taken rule by rule, each in
+    line order, the definitions before the urelements and a tag's entities
+    in sorted order."""
     declared = [
         (decl.name, sorted(decl.index.listed) if decl.index else (), decl.line)
         for decl in urelements
@@ -235,22 +270,14 @@ def parse_document(text: str, allow_urelements: bool = False) -> UniverseDoc:
             )
         defined[name] = lineno
     for _, members, lineno in chain(definitions, declared):
-        if all(map(defined.__contains__, members)):
-            continue
         for member in members:
             if member not in defined:
                 raise UndefinedNameError(f"line {lineno}: undefined name {member!r}")
-    if urelements:
-        pool = {decl.name for decl in urelements}
-        for name, members, lineno in definitions:
-            for member in filter(pool.__contains__, members):
-                message = f"line {lineno}: {name!r} lists urelement {member!r}"
-                raise UnknownElementError(message)
-
-    return UniverseDoc(
-        definitions=tuple((name, members) for name, members, _ in definitions),
-        urelements=tuple(urelements),
-    )
+    pool = {decl.name for decl in urelements}
+    for name, members, lineno in definitions:
+        for member in filter(pool.__contains__, members):
+            message = f"line {lineno}: {name!r} lists urelement {member!r}"
+            raise UnknownElementError(message)
 
 
 def parse_universe(text: str) -> Universe:

@@ -22,10 +22,12 @@ at most one urelement per index keeps the index-to-urelement map a partial
 bijection.  BaseModel is the one place that checks and orders a model's
 tags: callers hand it the pairs they build, in any order, and it rejects a
 bearer outside the pool or a collision and keeps each pair once, in bearer
-order.  Each model builds the interpreted relation once, as bitmask rows
-(``BaseModel.world``), and that world's index checks every entity name;
-membership queries read it, and ``sprig`` stays the definition tests compare
-it with.
+order.  A tag is a named tuple, so hashing and comparing it run in C, and
+the model checks all its tags with a few set operations; a loop over them
+runs only when a check fails, to name the first offence.  Each model builds
+the interpreted relation once, as bitmask rows (``BaseModel.world``), and
+that world's index checks every entity name; membership queries read it,
+and ``sprig`` stays the definition tests compare it with.
 
 retag_counterexample_pair rewires that bijection so that two urelements N
 and M cut each other out: N contains everything but M, and M contains
@@ -38,6 +40,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
 
 from .dsl import Index, UniverseDoc, parse_document
@@ -120,7 +124,7 @@ class BaseModel:
     tags: tuple[tuple[Index, ElementId], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tags", tuple(sorted(self.tags, key=lambda t: t[1])))
+        object.__setattr__(self, "tags", tuple(sorted(self.tags, key=itemgetter(1))))
         pool = set(self.urelements)
         if len(pool) != len(self.urelements):
             raise DuplicateDefinitionError("duplicate urelement names")
@@ -130,21 +134,31 @@ class BaseModel:
                 f"urelement names collide with base elements: {sorted(overlap)}"
             )
         _require_well_founded(self.base)
-        entity_set = set(self.base.names) | pool
-        for index, bearer in self.tags:
-            if bearer not in pool:
-                raise UnknownElementError(f"tagged name {bearer!r} is not in the pool")
-            other = self._bearer_by_index[index]
-            if other != bearer or self._tag_by_bearer[bearer] != index:
-                names = " and ".join(map(repr, sorted({bearer, other})))
-                raise CollisionError(f"tagging must be bijective at {names}")
-            for entity in index.listed:
-                if entity not in entity_set:
-                    raise UnknownElementError(
-                        f"tag of {bearer!r} refers to unknown entity {entity!r}"
-                    )
+        entity_set = pool.union(self.base.names)
+        by_bearer, by_index = self._tag_by_bearer, self._bearer_by_index
+        listed = chain.from_iterable(map(attrgetter("listed"), by_index))
+        # Every bearer in the pool, one index per bearer and one bearer per
+        # index, every listed entity known; only a failure runs the loop,
+        # which names the first offence in bearer order.
+        if not (
+            pool.issuperset(by_bearer)
+            and len(by_index) == len(by_bearer) == len(set(self.tags))
+            and entity_set.issuperset(listed)
+        ):
+            for index, bearer in self.tags:
+                if bearer not in pool:
+                    message = f"tagged name {bearer!r} is not in the pool"
+                    raise UnknownElementError(message)
+                other = by_index[index]
+                if other != bearer or by_bearer[bearer] != index:
+                    names = " and ".join(map(repr, sorted({bearer, other})))
+                    raise CollisionError(f"tagging must be bijective at {names}")
+                for entity in sorted(index.listed):
+                    if entity not in entity_set:
+                        raise UnknownElementError(
+                            f"tag of {bearer!r} refers to unknown entity {entity!r}"
+                        )
         # A checked tagging is a bijection: each pair once, in bearer order.
-        by_bearer = self._tag_by_bearer
         object.__setattr__(self, "tags", tuple(zip(by_bearer.values(), by_bearer)))
 
     @classmethod
@@ -183,7 +197,9 @@ class BaseModel:
         everything = (1 << len(position)) - 1
         masks = list(self.base.masks) + [0] * len(self.urelements)
         for index, bearer in self.tags:
-            row = sum([1 << position[x] for x in index.listed])
+            row = 0
+            for x in index.listed:
+                row |= 1 << position[x]
             masks[position[bearer]] = row ^ everything if index.complement else row
         return Universe(self.entities, tuple(masks))
 

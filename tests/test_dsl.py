@@ -174,6 +174,80 @@ class TestModelDocuments:
             )
 
 
+class TestNameRules:
+    """Each name rule is one set test over the document; when one fails, the
+    first error in line order is reported, rule by rule."""
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            (
+                "a = {ghost}\nb = {}\nb = {}\n",
+                DuplicateDefinitionError,
+                "line 3: 'b' already defined on line 2",
+            ),
+            # Three definitions and one urelement: two distinct names.
+            (
+                "a = {}\na = {}\na = {}\nurelement u\n",
+                DuplicateDefinitionError,
+                "line 2: 'a' already defined on line 1",
+            ),
+            (
+                "a = {b}\nb = {}\nc = {z}\nd = {y}\n",
+                UndefinedNameError,
+                "line 3: undefined name 'z'",
+            ),
+            (
+                "urelement u index ( {} , {z, a} )\n",
+                UndefinedNameError,
+                "line 1: undefined name 'a'",
+            ),
+            (
+                "urelement u index ( {} , {ghost} )\nurelement u\n",
+                DuplicateDefinitionError,
+                "line 2: 'u' already defined on line 1",
+            ),
+            (
+                "a = {u}\nb = {ghost}\nurelement u\n",
+                UndefinedNameError,
+                "line 2: undefined name 'ghost'",
+            ),
+        ],
+    )
+    def test_first_offence_is_reported(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse_document(text, allow_urelements=True)
+        assert str(err.value) == message
+
+
+class TestRecords:
+    """Tags and declarations are named tuples: C-level hashing and equality,
+    and the field names and keywords of before."""
+
+    @pytest.mark.parametrize("record", [dsl.Index, dsl.UrelementDecl])
+    def test_hash_and_equality_are_the_tuples(self, record):
+        assert record.__hash__ is tuple.__hash__
+        assert record.__eq__ is tuple.__eq__
+
+    def test_tags_of_two_parses_are_equal_and_hash_alike(self):
+        text = "a = {}\nurelement u index ( {0rep} , {a, u} )\n"
+        first, second = (
+            parse_document(text, allow_urelements=True).urelements[0].index
+            for _ in range(2)
+        )
+        assert first is not second
+        assert first == second == (True, frozenset({"a", "u"}))
+        assert hash(first) == hash(second)
+
+    def test_fields_and_keywords(self):
+        index = dsl.Index(complement=True, listed=frozenset({"a"}))
+        decl = dsl.UrelementDecl(name="u", index=index, line=3)
+        assert (index.complement, index.listed) == (True, frozenset({"a"}))
+        assert (decl.name, decl.index, decl.line) == ("u", index, 3)
+        assert dsl.Index._fields == ("complement", "listed")
+        assert dsl.UrelementDecl._fields == ("name", "index", "line")
+
+
 _NAMES = ("a", "x1", "_", "urelement", "index")
 _PIECES = (*_NAMES, "0rep", "0", *"={}(),#", " ", "\t", "é")
 _GAPS = st.sampled_from(("", "", " ", "\t", " \t "))

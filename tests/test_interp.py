@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import setlab
 from setlab import (
     ABSENT,
     DESCENDING,
@@ -454,3 +459,75 @@ class TestBaseModelOwnsTheChecks:
             small_model().retag(
                 [(universal_index(), "ur0"), (universal_index(), "ghost")]
             )
+
+    @pytest.mark.parametrize(
+        "tags,error,message",
+        [
+            # An unknown bearer that sorts before an unrelated collision.
+            (
+                [
+                    (universal_index(), "ur1"),
+                    (universal_index(), "ur2"),
+                    (listing_index({"h0"}), "a_ghost"),
+                ],
+                UnknownElementError,
+                "tagged name 'a_ghost' is not in the pool",
+            ),
+            # A collision before a tag that lists an unknown entity.
+            (
+                [
+                    (universal_index(), "ur0"),
+                    (universal_index(), "ur1"),
+                    (listing_index({"ghost"}), "ur2"),
+                ],
+                CollisionError,
+                "tagging must be bijective at 'ur0' and 'ur1'",
+            ),
+            # As many indexes as bearers, but three distinct pairs.
+            (
+                [
+                    (universal_index(), "ur0"),
+                    (listing_index({"h0"}), "ur1"),
+                    (universal_index(), "ur1"),
+                ],
+                CollisionError,
+                "tagging must be bijective at 'ur0' and 'ur1'",
+            ),
+            # An unknown listed entity before a collision.
+            (
+                [
+                    (listing_index({"ghost"}), "ur0"),
+                    (universal_index(), "ur1"),
+                    (universal_index(), "ur2"),
+                ],
+                UnknownElementError,
+                "tag of 'ur0' refers to unknown entity 'ghost'",
+            ),
+        ],
+    )
+    def test_the_first_offence_in_bearer_order_is_named(self, tags, error, message):
+        with pytest.raises(error) as err:
+            small_model().retag(tags)
+        assert str(err.value) == message
+
+    def test_an_unknown_tag_entity_is_named_in_sorted_order(self):
+        # A frozenset iterates in hash order, which PYTHONHASHSEED changes.
+        script = (
+            "from setlab import BaseModel, Index, UnknownElementError, hf_universe\n"
+            "tag = Index(False, frozenset({'zz', 'aa', 'mm', 'qq'}))\n"
+            "try:\n"
+            "    BaseModel.build(hf_universe(2), ('u0',), {tag: 'u0'})\n"
+            "except UnknownElementError as err:\n"
+            "    print(err)\n"
+        )
+        src = os.path.dirname(os.path.dirname(setlab.__file__))
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            assert proc.stdout == "tag of 'u0' refers to unknown entity 'aa'\n"

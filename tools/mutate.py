@@ -64,6 +64,7 @@ TARGETS = (
     ("dsl.py", "_tokenize"),
     ("dsl.py", "_check_line"),
     ("dsl.py", "parse_document"),
+    ("dsl.py", "_raise_first_name_error"),
     ("enumerator.py", "EnumSpec.__post_init__"),
     ("enumerator.py", "_relabellings"),
     ("enumerator.py", "_least_codes"),
