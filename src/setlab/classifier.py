@@ -8,9 +8,10 @@ definition lower and upper at once, so it is read as ``lower_mask &
 upper_mask``.  Both classes and the comprehension witnesses are read off
 tables each universe computes once and caches (``Universe.facts``, and
 ``Universe.carriers`` for the witnesses).  ``classify_all`` returns one
-shared tuple per distinct names and masks.  An element classified as both
-raises LemmaViolationError, on every call: the message naming it is built
-only for that violation, and no failed classification is kept.
+shared tuple per distinct names and masks.  ``_classifications``, which
+builds it, tests ``lowers & uppers`` once and raises LemmaViolationError
+naming the first element classified as both, on every call (the cache keeps
+no failure); a Classification made directly is not checked.
 """
 
 from __future__ import annotations
@@ -34,13 +35,6 @@ class Classification:
     lower: bool
     upper: bool
     self_membered: bool
-
-    def __post_init__(self):
-        # Unsatisfiable by evaluation; tripping this means a classifier bug.
-        if self.lower and self.upper:
-            raise LemmaViolationError(
-                f"{self.element!r} classified as both a lower and an upper"
-            )
 
 
 def is_lower(u: Universe, x: ElementId) -> bool:
@@ -76,6 +70,10 @@ def classify_all(u: Universe) -> tuple[Classification, ...]:
 def _classifications(
     names: tuple[ElementId, ...], lowers: int, uppers: int, selfs: int
 ) -> tuple[Classification, ...]:
+    # Unsatisfiable by evaluation; tripping this means a classifier bug.
+    if both := lowers & uppers:
+        x = names[(both & -both).bit_length() - 1]
+        raise LemmaViolationError(f"{x!r} classified as both a lower and an upper")
     return tuple(
         [
             Classification(

@@ -102,9 +102,9 @@ class UniverseDoc:
     def to_universe(self) -> Universe:
         """Build the universe over the plain definitions, elements in
         canonical (sorted) name order."""
-        ordered = sorted(name for name, _ in self.definitions)
-        members = dict(self.definitions)
-        return Universe.from_extensions({name: members[name] for name in ordered})
+        return Universe.from_extensions(
+            dict(sorted(self.definitions, key=itemgetter(0)))
+        )
 
 
 def _tokenize(line: str, lineno: int) -> list[tuple[str, str, int]]:

@@ -125,7 +125,7 @@ class BaseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "tags", tuple(sorted(self.tags, key=itemgetter(1))))
-        pool = set(self.urelements)
+        pool = self._pool
         if len(pool) != len(self.urelements):
             raise DuplicateDefinitionError("duplicate urelement names")
         overlap = pool & set(self.base.names)

@@ -13,13 +13,15 @@ iteration, which keeps every derived report byte-reproducible.  What the
 classifier, the audit and the enumerator's filters derive from a universe
 (self-membered, lower and upper masks, successor and predecessor tables)
 is computed once per universe and cached in ``Universe.facts``, which holds
-index tables only.  The Russell set is not stored: by definition it is
-lower and upper at once, ``lower_mask & upper_mask``.  Name-level results
-read one second cached table, ``Universe.carriers``: each extension mask
-with the names of the elements that have it.  It is built only when a
-lookup (``successor_in``, ``predecessor_in``) or a comprehension witness
-first asks for it, and no lookup result is kept beside it.  ``hf_universe``
-builds the hereditarily finite worlds.
+index tables only; its successor and predecessor tables read one local dict
+from each extension mask to its only carrier.  The Russell set is not
+stored: by definition it is lower and upper at once, ``lower_mask &
+upper_mask``.  Name-level results read one second cached table,
+``Universe.carriers``: each extension mask with the names of the elements
+that have it.  It is built only when a lookup (``successor_in``,
+``predecessor_in``) or a comprehension witness first asks for it, and no
+lookup result is kept beside it.  ``hf_universe`` builds the hereditarily
+finite worlds.
 """
 
 from __future__ import annotations
@@ -129,19 +131,19 @@ class Universe:
         The mapping's iteration order becomes the canonical element order.
         Every member must itself be a key of the mapping.
         """
-        names = tuple(extensions)
-        position = {name: i for i, name in enumerate(names)}
+        bits = {name: 1 << i for i, name in enumerate(extensions)}
         masks = []
-        for name in names:
+        for name, members in extensions.items():
             mask = 0
-            for member in extensions[name]:
-                if member not in position:
-                    raise UnknownElementError(
-                        f"{member!r} (member of {name!r}) is not an element"
-                    )
-                mask |= 1 << position[member]
+            try:
+                for member in members:
+                    mask |= bits[member]
+            except KeyError:
+                raise UnknownElementError(
+                    f"{member!r} (member of {name!r}) is not an element"
+                ) from None
             masks.append(mask)
-        return cls(names, tuple(masks))
+        return cls(tuple(extensions), tuple(masks))
 
     # -- canonical order plumbing ------------------------------------------
 
@@ -153,24 +155,14 @@ class Universe:
     def facts(self) -> Facts:
         """The derived facts, computed on first use and then cached."""
         masks = self.masks
-        # Extension mask -> index of its first carrier, and the masks that
-        # have more than one.
-        first: dict[int, int] = {}
-        shared: set[int] = set()
+        # Extension mask -> index of its only carrier, or None once a second
+        # element has it: the successor and predecessor tables read it.
+        unique: dict[int, int | None] = {}
         self_bits = 0
         for i, mask in enumerate(masks):
-            if mask in first:
-                shared.add(mask)
-            else:
-                first[mask] = i
+            unique[mask] = None if mask in unique else i
             self_bits |= mask & 1 << i
         nonself = self.all_mask & ~self_bits
-        # Target mask -> index of its unique carrier.
-        unique = (
-            {mask: i for mask, i in first.items() if mask not in shared}
-            if shared
-            else first
-        )
         lower = upper = 0
         succ, pred = [], []
         for i, mask in enumerate(masks):

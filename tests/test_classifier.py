@@ -94,6 +94,20 @@ class TestClassification:
                 classify_all(u)
         assert classify_all(WITH_TOP) is clean
 
+    def test_a_planted_overlap_names_its_first_element(self):
+        # Canonical order, not name order: 'top' comes before 'a' here.
+        u = universe(top=("a", "b", "top"), b=("a",), a=())
+        u.__dict__["facts"] = u.facts._replace(
+            lower_mask=u.facts.lower_mask | u.bit("top"),
+            upper_mask=u.facts.upper_mask | u.bit("a"),
+        )
+        for _ in range(2):
+            with pytest.raises(LemmaViolationError) as raised:
+                classify_all(u)
+            assert str(raised.value) == (
+                "'top' classified as both a lower and an upper"
+            )
+
 
 class TestRussellWitness:
     def test_simple_universes(self):

@@ -464,8 +464,14 @@ class TestErrors:
     def test_interrupt_exits_130_without_a_traceback(self):
         # A full n=5 dedupe runs for minutes, so it is still enumerating
         # when the interrupt arrives a second after start.
+        # The child restores Python's SIGINT handler, which it would not
+        # install if it inherited an ignored SIGINT (a job started with &).
         src = os.path.dirname(os.path.dirname(setlab.__file__))
-        script = "import sys; from setlab.cli import main; sys.exit(main())"
+        script = (
+            "import signal, sys; "
+            "signal.signal(signal.SIGINT, signal.default_int_handler); "
+            "from setlab.cli import main; sys.exit(main())"
+        )
         proc = subprocess.Popen(
             [sys.executable, "-c", script, "enumerate", "--size", "5", "--dedupe"],
             stdout=subprocess.PIPE,

@@ -37,6 +37,11 @@ class TestConstruction:
         with pytest.raises(UnknownElementError):
             universe(a=("c",))
 
+    def test_the_first_unknown_member_is_named(self):
+        with pytest.raises(UnknownElementError) as raised:
+            Universe.from_extensions({"a": ("b",), "b": ("a", "zz", "yy")})
+        assert str(raised.value) == "'zz' (member of 'b') is not an element"
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(DuplicateDefinitionError):
             Universe(("a", "a"), (0, 0))

@@ -48,9 +48,11 @@ TARGETS = (
     ("audit.py", "verify_lemma_suite"),
     ("audit.py", "_clean_report"),
     ("universe.py", "Universe.__post_init__"),
+    ("universe.py", "Universe.from_extensions"),
     ("universe.py", "Universe.facts"),
     ("universe.py", "Universe._lookup"),
     ("universe.py", "hf_universe"),
+    ("classifier.py", "_classifications"),
     ("classifier.py", "comprehension_witness"),
     ("classifier.py", "is_strictly_russellian"),
     ("classifier.py", "russell_witness"),
@@ -61,6 +63,7 @@ TARGETS = (
     ("interp.py", "verify_forster_counterexample"),
     ("interp.py", "ForsterReport.note"),
     ("audit.py", "trace_chain"),
+    ("dsl.py", "UniverseDoc.to_universe"),
     ("dsl.py", "_tokenize"),
     ("dsl.py", "_check_line"),
     ("dsl.py", "parse_document"),
